@@ -125,6 +125,11 @@ def da_m2m(channels, demands, config: ScenarioConfig) -> tuple[Matching, GameCou
     return Matching.from_assoc(assoc), counters
 
 
+# Batched and exact kappa of a trade agree within 1e-12, so a screen this
+# much looser than the exact rule never drops a trade the rule would take.
+SCREEN_MARGIN = 1e-9
+
+
 def swap_matching(matching: Matching, channels, demands, config: ScenarioConfig,
                   counters: GameCounters) -> Matching:
     """Refine a matching by trading AP pairs between UE pairs.
@@ -136,34 +141,33 @@ def swap_matching(matching: Matching, channels, demands, config: ScenarioConfig,
     order is ascending (k, k', m, m').  Swaps preserve loads and cluster
     sizes, so quotas stay valid.  The committed-swap count is capped at
     ue_quota * K^2; exceeding it raises RuntimeError.
+
+    All trades of one UE pair are scored at once from the cached
+    amplitudes; only those that might pass the rule are re-scored by
+    the exact evaluator, in scan order, which alone decides.
     """
     ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     assoc = matching.assoc.copy()
     num_ues = assoc.shape[0]
     cap = config.ue_quota * num_ues * num_ues
+    # loads never change, so neither does any pair's beam weight
+    weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
 
     def find_swap(current):
+        amp = np.einsum("kjm,jm->kj", ctx.cross, assoc * weight)
         for k in range(num_ues):
             for k2 in range(k + 1, num_ues):
-                only_k = np.flatnonzero(assoc[k] & ~assoc[k2])
-                only_k2 = np.flatnonzero(assoc[k2] & ~assoc[k])
-                for m in only_k:
-                    for m2 in only_k2:
-                        trial = assoc.copy()
-                        trial[k, m] = False
-                        trial[k2, m2] = False
-                        trial[k, m2] = True
-                        trial[k2, m] = True
-                        ev = ctx.evaluate_assoc(trial, demands)
-                        better_k = ev.kappa[k] > current.kappa[k]
-                        better_k2 = ev.kappa[k2] > current.kappa[k2]
-                        no_worse_k = ev.kappa[k] >= current.kappa[k]
-                        no_worse_k2 = ev.kappa[k2] >= current.kappa[k2]
-                        if (ev.kappa.sum() >= current.kappa.sum()
-                                and ((better_k and no_worse_k2)
-                                     or (better_k2 and no_worse_k))):
-                            return trial, ev
+                gives, takes, kappa = _pair_trades(ctx, assoc, weight, amp, demands, k, k2)
+                for t in np.flatnonzero(_may_accept(kappa, current.kappa, k, k2)):
+                    trial = assoc.copy()
+                    trial[k, gives[t]] = False
+                    trial[k2, takes[t]] = False
+                    trial[k, takes[t]] = True
+                    trial[k2, gives[t]] = True
+                    ev = ctx.evaluate_assoc(trial, demands)
+                    if _accepts(ev.kappa, current.kappa, k, k2):
+                        return trial, ev
         return None, None
 
     current = ctx.evaluate_assoc(assoc, demands)
@@ -176,6 +180,48 @@ def swap_matching(matching: Matching, channels, demands, config: ScenarioConfig,
         if counters.swap_count > cap:
             raise RuntimeError(f"swap refinement exceeded {cap} swaps")
     return Matching.from_assoc(assoc)
+
+
+def _pair_trades(ctx, assoc, weight, amp, demands, k, k2):
+    """Every AP trade of UEs k < k2 in scan order, with batched kappa.
+
+    Trade t hands AP gives[t] from k to k2 and AP takes[t] from k2 to k.
+    Only amplitude columns k and k2 change, each by two cross terms.
+    Returns (gives, takes, kappa) with kappa of shape (T, K).
+    """
+    only_k = np.flatnonzero(assoc[k] & ~assoc[k2])
+    only_k2 = np.flatnonzero(assoc[k2] & ~assoc[k])
+    gives = np.repeat(only_k, only_k2.size)
+    takes = np.tile(only_k2, only_k.size)
+    trial_amp = np.repeat(amp[None], gives.size, axis=0)
+    trial_amp[:, :, k] += (ctx.cross[:, k, takes] * weight[k, takes]
+                           - ctx.cross[:, k, gives] * weight[k, gives]).T
+    trial_amp[:, :, k2] += (ctx.cross[:, k2, gives] * weight[k2, gives]
+                            - ctx.cross[:, k2, takes] * weight[k2, takes]).T
+    return gives, takes, ctx.score_amplitudes(trial_amp, demands)[2]
+
+
+def _may_accept(kappa, current, k, k2):
+    """Mask of the trades (rows of kappa) that _accepts might take if
+    each batched kappa is within SCREEN_MARGIN of the exact one.  A UE
+    at kappa 1 cannot strictly improve: the clamp is exact."""
+    low = current - SCREEN_MARGIN
+    sum_ok = kappa.sum(axis=1) >= current.sum() - current.size * SCREEN_MARGIN
+    up_k = (current[k] < 1.0) & (kappa[:, k] > low[k])
+    up_k2 = (current[k2] < 1.0) & (kappa[:, k2] > low[k2])
+    return sum_ok & ((up_k & (kappa[:, k2] >= low[k2]))
+                     | (up_k2 & (kappa[:, k] >= low[k])))
+
+
+def _accepts(kappa, current, k, k2):
+    """The swap rule: the kappa sum does not drop, and one of k, k2
+    strictly improves while the other does not lose."""
+    better_k = kappa[k] > current[k]
+    better_k2 = kappa[k2] > current[k2]
+    no_worse_k = kappa[k] >= current[k]
+    no_worse_k2 = kappa[k2] >= current[k2]
+    return (kappa.sum() >= current.sum()
+            and ((better_k and no_worse_k2) or (better_k2 and no_worse_k)))
 
 
 def _run_ea(channels, demands, config):

@@ -48,10 +48,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_aps", "num_ues", "antennas_per_ap", "ap_quota", "ue_quota"):
+        for name, low in (("num_aps", 1), ("num_ues", 1), ("antennas_per_ap", 1),
+                          ("ap_quota", 1), ("ue_quota", 1), ("num_steps", 1), ("seed", 0)):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         for name in ("max_power", "bandwidth", "carrier_freq", "noise_var",
                      "timestep_duration"):
             v = getattr(self, name)
@@ -59,21 +60,18 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive, got {v!r}")
         for name in ("pathloss_exp", "shadow_var", "ue_speed", "power_diff_threshold"):
             v = getattr(self, name)
-            if v < 0:
+            if not v >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {v!r}")
         if not 0.0 <= self.satisfaction_threshold <= 1.0:
             raise ValueError(
                 f"satisfaction_threshold must be in [0, 1], got {self.satisfaction_threshold!r}")
-        if len(self.area) != 2 or not all(a > 0 for a in self.area):
-            raise ValueError(f"area must be two positive lengths, got {self.area!r}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps!r}")
-        if not self.demand_set or not all(d > 0 for d in self.demand_set):
-            raise ValueError(f"demand_set must be nonempty with positive rates, got {self.demand_set!r}")
+        if len(self.area) != 2 or not all(0 < a < np.inf for a in self.area):
+            raise ValueError(f"area must be two positive finite lengths, got {self.area!r}")
+        if not self.demand_set or not all(0 < d < np.inf for d in self.demand_set):
+            raise ValueError(
+                f"demand_set must be nonempty with positive finite rates, got {self.demand_set!r}")
         if self.demand_refresh not in ("step", "episode"):
             raise ValueError(f"demand_refresh must be 'step' or 'episode', got {self.demand_refresh!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 @dataclass

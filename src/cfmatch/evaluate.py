@@ -183,25 +183,42 @@ class EvalContext:
         self.bandwidth = config.bandwidth
         self.num_ues, self.num_aps = self.norm2.shape
 
+    def power_share(self, assoc: np.ndarray) -> np.ndarray:
+        """(M,) power each AP spends per served UE; 0 for unloaded APs."""
+        loads = assoc.sum(axis=0)
+        share = np.zeros(self.num_aps)
+        np.divide(self.max_power, loads, out=share, where=loads > 0)
+        return share
+
     def evaluate_assoc(self, assoc: np.ndarray, demands: np.ndarray) -> NetworkEvaluation:
         """Score one boolean association matrix against per-UE demands."""
         demands = np.asarray(demands, dtype=float)
         assoc = np.asarray(assoc, dtype=bool)
-        loads = assoc.sum(axis=0)
-        share = np.zeros(self.num_aps)
-        np.divide(self.max_power, loads, out=share, where=loads > 0)
+        share = self.power_share(assoc)
         power = assoc * share[None, :]
         # w[j, m] = sqrt(P_{j,m}) / (||h_{j,m}||^2 + noise), zero where inactive
         w = assoc * (np.sqrt(share)[None, :] * self.inv_denom)
         amp = np.einsum("kjm,jm->kj", self.cross, w)
-        abs2 = np.abs(amp) ** 2
-        signal = np.diagonal(abs2).copy()
-        np.fill_diagonal(abs2, 0.0)
-        interference = abs2.sum(axis=1)
+        sinr, rate, kappa = self.score_amplitudes(amp, demands)
+        return NetworkEvaluation(power=power, sinr=sinr, rate=rate, kappa=kappa)
+
+    def score_amplitudes(self, amp: np.ndarray, demands: np.ndarray):
+        """(sinr, rate, kappa), each (..., K), from amplitudes (..., K, K).
+
+        amp[..., k, j] is the amplitude UE j's beams deliver at UE k;
+        leading axes are a batch of independent matchings.
+        """
+        abs2 = np.abs(amp, order="C") ** 2
+        k = abs2.shape[-1]
+        # C order makes this a view: the diagonal of each K x K block
+        diag = abs2.reshape(abs2.shape[:-2] + (k * k,))[..., ::k + 1]
+        signal = diag.copy()
+        diag[...] = 0.0
+        interference = abs2.sum(axis=-1)
         sinr = signal / (interference + self.noise_var)
         rate = self.bandwidth * np.log2(1.0 + sinr)
         kappa = np.minimum(1.0, rate / demands)
-        return NetworkEvaluation(power=power, sinr=sinr, rate=rate, kappa=kappa)
+        return sinr, rate, kappa
 
 
 def as_eval_context(channels, config: ScenarioConfig) -> EvalContext:

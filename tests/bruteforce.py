@@ -1,10 +1,14 @@
-"""Independent straight-line reference for the evaluation chain.
+"""Independent straight-line references for the package's fast paths.
 
-Pure per-element loops, no vectorization, deliberately sharing no code
-with the package so the two routes can check each other.
+reference_evaluate scores a matching with pure per-element loops, no
+vectorization, deliberately sharing no code with the package so the two
+routes can check each other.  reference_swap_matching is the swap scan
+in its plain form: one full exact evaluation per trial trade.
 """
 
 import numpy as np
+
+from cfmatch import Matching, as_eval_context
 
 
 def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands):
@@ -54,3 +58,51 @@ def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands)
         rate.append(r)
         kappa.append(min(1.0, r / demands[k]))
     return {"power": power, "sinr": sinr, "rate": rate, "kappa": kappa}
+
+
+def reference_swap_matching(matching, channels, demands, config, counters):
+    """swap_matching with one full evaluate_assoc per trial trade.
+
+    Same rule, scan order, restart and cap as the package's scan, with
+    no screening, so any trade the screen wrongly drops shows up as a
+    different result.
+    """
+    ctx = as_eval_context(channels, config)
+    demands = np.asarray(demands, dtype=float)
+    assoc = matching.assoc.copy()
+    num_ues = assoc.shape[0]
+    cap = config.ue_quota * num_ues * num_ues
+
+    def find_swap(current):
+        for k in range(num_ues):
+            for k2 in range(k + 1, num_ues):
+                only_k = np.flatnonzero(assoc[k] & ~assoc[k2])
+                only_k2 = np.flatnonzero(assoc[k2] & ~assoc[k])
+                for m in only_k:
+                    for m2 in only_k2:
+                        trial = assoc.copy()
+                        trial[k, m] = False
+                        trial[k2, m2] = False
+                        trial[k, m2] = True
+                        trial[k2, m] = True
+                        ev = ctx.evaluate_assoc(trial, demands)
+                        better_k = ev.kappa[k] > current.kappa[k]
+                        better_k2 = ev.kappa[k2] > current.kappa[k2]
+                        no_worse_k = ev.kappa[k] >= current.kappa[k]
+                        no_worse_k2 = ev.kappa[k2] >= current.kappa[k2]
+                        if (ev.kappa.sum() >= current.kappa.sum()
+                                and ((better_k and no_worse_k2)
+                                     or (better_k2 and no_worse_k))):
+                            return trial, ev
+        return None, None
+
+    current = ctx.evaluate_assoc(assoc, demands)
+    while True:
+        trial, ev = find_swap(current)
+        if trial is None:
+            break
+        assoc, current = trial, ev
+        counters.swap_count += 1
+        if counters.swap_count > cap:
+            raise RuntimeError(f"swap refinement exceeded {cap} swaps")
+    return Matching.from_assoc(assoc)

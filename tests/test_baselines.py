@@ -4,8 +4,11 @@ import pytest
 from cfmatch import (ScenarioConfig, Matching, best_channel, min_distance,
                      canonical, gca, da_m2m, swap_matching, STRATEGIES,
                      get_strategy, evaluate_network, as_eval_context,
-                     GameCounters, ChannelRealization)
+                     GameCounters, ChannelRealization, EvalContext,
+                     generate_layout, realize_channels, draw_demands, substream)
+from cfmatch.baselines import SCREEN_MARGIN, _pair_trades
 
+from bruteforce import reference_swap_matching
 from helpers import (small_config, random_channels, channels_from_vectors,
                      random_demands, check_matching_valid)
 
@@ -233,6 +236,99 @@ def test_swap_preserves_structure_and_sum():
         assert [len(l) for l in out.ap_loads] == [len(l) for l in m.ap_loads]
         assert [len(c) for c in out.ue_clusters] == [len(c) for c in m.ue_clusters]
         check_matching_valid(out, cfg)
+
+
+def _da_scene(num_ues, num_aps, seed, **overrides):
+    """The DA matching of the first step of a seeded scene, with the
+    step's context and demands."""
+    cfg = ScenarioConfig(num_ues=num_ues, num_aps=num_aps, num_steps=1, seed=seed,
+                         **overrides)
+    layout = generate_layout(cfg, substream(seed, "layout"))
+    ch = realize_channels(layout, cfg, substream(seed, "shadowing", 1),
+                          substream(seed, "fading", 1))
+    demands = draw_demands(cfg, substream(seed, "demands", 1))
+    ctx = EvalContext(ch, cfg)
+    matching, _ = da_m2m(ctx, demands, cfg)
+    return cfg, ctx, demands, matching
+
+
+def _trades(ctx, assoc, demands, k, k2):
+    """_pair_trades of UEs k, k2 at the start of a scan of assoc."""
+    weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
+    amp = np.einsum("kjm,jm->kj", ctx.cross, assoc * weight)
+    return _pair_trades(ctx, assoc, weight, amp, demands, k, k2)
+
+
+# At 5x8 the default quotas let every UE hold every AP, leaving nothing to trade.
+SMALL_QUOTAS = dict(ap_quota=2, ue_quota=3)
+
+
+@pytest.mark.parametrize("num_ues, num_aps, num_seeds, overrides", [
+    (5, 8, 100, SMALL_QUOTAS),
+    (10, 25, 30, {}),
+    (20, 50, 2, {}),
+])
+def test_swap_matches_reference_scan(num_ues, num_aps, num_seeds, overrides):
+    # the screen may only skip trades the exact rule rejects, so the
+    # scan must end where one exact evaluation per trade ends
+    total_swaps = 0
+    for seed in range(500, 500 + num_seeds):
+        cfg, ctx, demands, start = _da_scene(num_ues, num_aps, seed, **overrides)
+        fast, slow = GameCounters(), GameCounters()
+        out = swap_matching(start, ctx, demands, cfg, fast)
+        ref = reference_swap_matching(start, ctx, demands, cfg, slow)
+        np.testing.assert_array_equal(out.assoc, ref.assoc, err_msg=f"seed {seed}")
+        assert fast.swap_count == slow.swap_count, f"seed {seed}"
+        total_swaps += fast.swap_count
+    assert total_swaps > 0
+
+
+@pytest.mark.parametrize("num_ues, num_aps, overrides", [
+    (5, 8, SMALL_QUOTAS),
+    (10, 25, {}),
+])
+def test_batched_trade_kappa_matches_exact_evaluation(num_ues, num_aps, overrides):
+    worst = 0.0
+    trades = 0
+    for seed in range(700, 704):
+        cfg, ctx, demands, start = _da_scene(num_ues, num_aps, seed, **overrides)
+        assoc = start.assoc
+        for k in range(num_ues):
+            for k2 in range(k + 1, num_ues):
+                gives, takes, kappa = _trades(ctx, assoc, demands, k, k2)
+                for t in range(gives.size):
+                    trial = assoc.copy()
+                    trial[k, gives[t]] = trial[k2, takes[t]] = False
+                    trial[k, takes[t]] = trial[k2, gives[t]] = True
+                    exact = ctx.evaluate_assoc(trial, demands).kappa
+                    worst = max(worst, float(np.abs(kappa[t] - exact).max()))
+                    trades += 1
+    assert trades > 0
+    # about 1000x headroom below the screen's margin
+    assert worst <= 1e-12
+    assert 1e-12 <= SCREEN_MARGIN / 1000
+
+
+def test_swap_of_saturated_ues_evaluates_once(monkeypatch):
+    # with every UE at kappa 1 no trade can strictly improve anyone, so
+    # the screen drops them all and only the starting matching is scored
+    cfg, ctx, _, start = _da_scene(10, 25, seed=11)
+    demands = np.full(10, 1.0)
+    assert np.all(ctx.evaluate_assoc(start.assoc, demands).kappa == 1.0)
+    assert _trades(ctx, start.assoc, demands, 0, 1)[0].size > 0
+    calls = []
+    original = EvalContext.evaluate_assoc
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
+    counters = GameCounters()
+    out = swap_matching(start, ctx, demands, cfg, counters)
+    assert len(calls) == 1
+    assert counters.swap_count == 0
+    np.testing.assert_array_equal(out.assoc, start.assoc)
 
 
 def test_registry_contents():

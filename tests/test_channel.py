@@ -48,6 +48,23 @@ def test_config_rejects_bad_values():
         ScenarioConfig(seed=-3)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("pathloss_exp", math.nan),
+    ("shadow_var", math.nan),
+    ("ue_speed", math.nan),
+    ("power_diff_threshold", math.nan),
+    ("area", (math.inf, 200.0)),
+    ("area", (200.0, math.inf)),
+    ("demand_set", (5e6, math.inf)),
+    ("num_steps", 2.5),
+    ("num_steps", 2.0),
+    ("seed", 1.5),
+])
+def test_config_rejects_nan_infinite_and_fractional(name, value):
+    with pytest.raises(ValueError, match=name):
+        ScenarioConfig(**{name: value})
+
+
 def test_layout_shapes_and_bounds():
     cfg = ScenarioConfig(seed=3)
     layout = generate_layout(cfg, substream(3, "layout"))
