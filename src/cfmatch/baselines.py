@@ -15,6 +15,12 @@ from .evaluate import Matching, as_eval_context
 from .matching import GameCounters, ea_m2m
 
 
+# Batched and exact scores (kappa of a trade, min spectral efficiency of
+# a drop) agree within 1e-12, so a screen this much looser than the exact
+# rule never drops a candidate the rule would take.
+SCREEN_MARGIN = 1e-9
+
+
 def best_channel(channels, demands, config: ScenarioConfig) -> Matching:
     """Each UE takes the single AP with the largest gain (ties: lower index)."""
     gains = as_eval_context(channels, config).channels.gains
@@ -45,6 +51,10 @@ def gca(channels, demands, config: ScenarioConfig) -> Matching:
     deactivate the active AP whose removal raises the minimum spectral
     efficiency the most, while any strict improvement exists.  Ties go
     to the lowest AP index.
+
+    Each round scores every drop at once from the cached amplitudes;
+    only the drops that might win are re-scored by the exact evaluator,
+    in ascending AP order, which alone decides.
     """
     ctx = as_eval_context(channels, config)
     gains = ctx.channels.gains
@@ -57,9 +67,11 @@ def gca(channels, demands, config: ScenarioConfig) -> Matching:
 
     current = min_se(assoc)
     while True:
+        active = np.flatnonzero(assoc.any(axis=0))
+        batched = _drop_min_se(ctx, assoc, demands, active) - current
         best_gain = 0.0
         best_m = None
-        for m in np.flatnonzero(assoc.any(axis=0)):
+        for m in active[_may_win(batched)]:
             trial = assoc.copy()
             trial[:, m] = False
             gain = min_se(trial) - current
@@ -71,6 +83,34 @@ def gca(channels, demands, config: ScenarioConfig) -> Matching:
         assoc[:, best_m] = False
         current += best_gain
     return Matching.from_assoc(assoc)
+
+
+# APs per batch of _drop_min_se: bounds its temporaries to a few (K, K).
+DROP_BLOCK = 8
+
+
+def _drop_min_se(ctx, assoc, demands, aps):
+    """Minimum spectral efficiency after dropping each AP of aps alone.
+
+    Dropping AP m clears column m of assoc and leaves every other AP's
+    power share, so only AP m's terms leave the amplitude sums.
+    """
+    weight = assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
+    amp = np.einsum("kjm,jm->kj", ctx.cross, weight)
+    out = np.empty(aps.size)
+    for i in range(0, aps.size, DROP_BLOCK):
+        block = aps[i:i + DROP_BLOCK]
+        trial_amp = amp - np.einsum("kjb,jb->bkj", ctx.cross[:, :, block], weight[:, block])
+        sinr = ctx.score_amplitudes(trial_amp, demands)[0]
+        out[i:i + DROP_BLOCK] = np.log2(1.0 + sinr).min(axis=1)
+    return out
+
+
+def _may_win(gain):
+    """Mask of the drops the exact rule might pick if each batched gain
+    is within SCREEN_MARGIN of the exact one: a strict improvement
+    that ties or beats every other drop."""
+    return (gain > -SCREEN_MARGIN) & (gain >= gain.max(initial=-np.inf) - 2 * SCREEN_MARGIN)
 
 
 def da_m2m(channels, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
@@ -125,9 +165,8 @@ def da_m2m(channels, demands, config: ScenarioConfig) -> tuple[Matching, GameCou
     return Matching.from_assoc(assoc), counters
 
 
-# Batched and exact kappa of a trade agree within 1e-12, so a screen this
-# much looser than the exact rule never drops a trade the rule would take.
-SCREEN_MARGIN = 1e-9
+class SwapCapExceeded(RuntimeError):
+    """swap_matching committed more swaps than its cap allows."""
 
 
 def swap_matching(matching: Matching, channels, demands, config: ScenarioConfig,
@@ -140,7 +179,7 @@ def swap_matching(matching: Matching, channels, demands, config: ScenarioConfig,
     does not lose.  After each applied swap the scan restarts; the scan
     order is ascending (k, k', m, m').  Swaps preserve loads and cluster
     sizes, so quotas stay valid.  The committed-swap count is capped at
-    ue_quota * K^2; exceeding it raises RuntimeError.
+    ue_quota * K^2; exceeding it raises SwapCapExceeded.
 
     All trades of one UE pair are scored at once from the cached
     amplitudes; only those that might pass the rule are re-scored by
@@ -178,7 +217,7 @@ def swap_matching(matching: Matching, channels, demands, config: ScenarioConfig,
         assoc, current = trial, ev
         counters.swap_count += 1
         if counters.swap_count > cap:
-            raise RuntimeError(f"swap refinement exceeded {cap} swaps")
+            raise SwapCapExceeded(f"swap refinement exceeded {cap} swaps")
     return Matching.from_assoc(assoc)
 
 

@@ -21,6 +21,18 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 MIN_DISTANCE = 1.0  # m
 
 
+def _is_number(v) -> bool:
+    """A real number: a Python or numpy int or float, but not a bool."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, (bool, np.bool_)))
+
+
+def _positive_finite(values) -> bool:
+    """A tuple or list whose entries are all numbers in (0, inf)."""
+    return (isinstance(values, (tuple, list))
+            and all(_is_number(v) and 0 < v < np.inf for v in values))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All scenario parameters in SI base units (m, s, Hz, W, bit/s)."""
@@ -56,18 +68,20 @@ class ScenarioConfig:
         for name in ("max_power", "bandwidth", "carrier_freq", "noise_var",
                      "timestep_duration"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v!r}")
+            if not (_is_number(v) and v > 0):
+                raise ValueError(f"{name} must be a positive number, got {v!r}")
         for name in ("pathloss_exp", "shadow_var", "ue_speed", "power_diff_threshold"):
             v = getattr(self, name)
-            if not v >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {v!r}")
-        if not 0.0 <= self.satisfaction_threshold <= 1.0:
-            raise ValueError(
-                f"satisfaction_threshold must be in [0, 1], got {self.satisfaction_threshold!r}")
-        if len(self.area) != 2 or not all(0 < a < np.inf for a in self.area):
+            if not (_is_number(v) and v >= 0):
+                raise ValueError(f"{name} must be a nonnegative number, got {v!r}")
+        if not isinstance(self.shadow_in_db, (bool, np.bool_)):
+            raise ValueError(f"shadow_in_db must be true or false, got {self.shadow_in_db!r}")
+        v = self.satisfaction_threshold
+        if not (_is_number(v) and 0.0 <= v <= 1.0):
+            raise ValueError(f"satisfaction_threshold must be in [0, 1], got {v!r}")
+        if not (_positive_finite(self.area) and len(self.area) == 2):
             raise ValueError(f"area must be two positive finite lengths, got {self.area!r}")
-        if not self.demand_set or not all(0 < d < np.inf for d in self.demand_set):
+        if not (_positive_finite(self.demand_set) and self.demand_set):
             raise ValueError(
                 f"demand_set must be nonempty with positive finite rates, got {self.demand_set!r}")
         if self.demand_refresh not in ("step", "episode"):

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, replace, fields
 
 from .channel import ScenarioConfig
-from .baselines import STRATEGIES, get_strategy
+from .baselines import STRATEGIES, SwapCapExceeded, get_strategy
 from .simulation import run_episode, summarize
 
 # Config keys that arrive as JSON lists but live as tuples.
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
                        out_dir=args.out,
                        fmt=args.format)
         return cmd_run(spec)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SwapCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

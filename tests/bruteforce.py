@@ -2,8 +2,9 @@
 
 reference_evaluate scores a matching with pure per-element loops, no
 vectorization, deliberately sharing no code with the package so the two
-routes can check each other.  reference_swap_matching is the swap scan
-in its plain form: one full exact evaluation per trial trade.
+routes can check each other.  reference_swap_matching and reference_gca
+are the swap scan and the gca drop loop in their plain form: one full
+exact evaluation per candidate.
 """
 
 import numpy as np
@@ -106,3 +107,36 @@ def reference_swap_matching(matching, channels, demands, config, counters):
         if counters.swap_count > cap:
             raise RuntimeError(f"swap refinement exceeded {cap} swaps")
     return Matching.from_assoc(assoc)
+
+
+def reference_gca(channels, demands, config):
+    """gca with one full evaluate_assoc per candidate drop.
+
+    Same seeding, rule, tie-break and running minimum as the package's
+    loop, with no screening; returns the final association matrix.
+    """
+    ctx = as_eval_context(channels, config)
+    gains = ctx.channels.gains
+    floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
+    assoc = gains >= floor[:, None]
+
+    def min_se(a):
+        ev = ctx.evaluate_assoc(a, demands)
+        return float(np.log2(1.0 + ev.sinr).min())
+
+    current = min_se(assoc)
+    while True:
+        best_gain = 0.0
+        best_m = None
+        for m in np.flatnonzero(assoc.any(axis=0)):
+            trial = assoc.copy()
+            trial[:, m] = False
+            gain = min_se(trial) - current
+            if gain > best_gain:
+                best_gain = gain
+                best_m = int(m)
+        if best_m is None:
+            break
+        assoc[:, best_m] = False
+        current += best_gain
+    return assoc

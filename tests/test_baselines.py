@@ -6,9 +6,10 @@ from cfmatch import (ScenarioConfig, Matching, best_channel, min_distance,
                      get_strategy, evaluate_network, as_eval_context,
                      GameCounters, ChannelRealization, EvalContext,
                      generate_layout, realize_channels, draw_demands, substream)
-from cfmatch.baselines import SCREEN_MARGIN, _pair_trades
+from cfmatch import baselines
+from cfmatch.baselines import SCREEN_MARGIN, _drop_min_se, _pair_trades
 
-from bruteforce import reference_swap_matching
+from bruteforce import reference_gca, reference_swap_matching
 from helpers import (small_config, random_channels, channels_from_vectors,
                      random_demands, check_matching_valid)
 
@@ -238,16 +239,21 @@ def test_swap_preserves_structure_and_sum():
         check_matching_valid(out, cfg)
 
 
-def _da_scene(num_ues, num_aps, seed, **overrides):
-    """The DA matching of the first step of a seeded scene, with the
-    step's context and demands."""
+def _scene(num_ues, num_aps, seed, **overrides):
+    """The config, context and demands of the first step of a seeded scene."""
     cfg = ScenarioConfig(num_ues=num_ues, num_aps=num_aps, num_steps=1, seed=seed,
                          **overrides)
     layout = generate_layout(cfg, substream(seed, "layout"))
     ch = realize_channels(layout, cfg, substream(seed, "shadowing", 1),
                           substream(seed, "fading", 1))
     demands = draw_demands(cfg, substream(seed, "demands", 1))
-    ctx = EvalContext(ch, cfg)
+    return cfg, EvalContext(ch, cfg), demands
+
+
+def _da_scene(num_ues, num_aps, seed, **overrides):
+    """The DA matching of the first step of a seeded scene, with the
+    step's context and demands."""
+    cfg, ctx, demands = _scene(num_ues, num_aps, seed, **overrides)
     matching, _ = da_m2m(ctx, demands, cfg)
     return cfg, ctx, demands, matching
 
@@ -329,6 +335,87 @@ def test_swap_of_saturated_ues_evaluates_once(monkeypatch):
     assert len(calls) == 1
     assert counters.swap_count == 0
     np.testing.assert_array_equal(out.assoc, start.assoc)
+
+
+def _gca_seed(ctx, config):
+    """gca's starting clusters: every AP within the dB window of the best."""
+    gains = ctx.channels.gains
+    floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
+    return gains >= floor[:, None]
+
+
+@pytest.mark.parametrize("num_ues, num_aps, num_seeds", [
+    (5, 8, 100),
+    (10, 25, 30),
+    (30, 60, 5),
+])
+def test_gca_matches_reference_loop(num_ues, num_aps, num_seeds):
+    # the screen may only skip drops the exact rule would not pick, so
+    # the loop must end where one exact evaluation per drop ends
+    total_drops = 0
+    for seed in range(900, 900 + num_seeds):
+        cfg, ctx, demands = _scene(num_ues, num_aps, seed)
+        out = gca(ctx, demands, cfg)
+        np.testing.assert_array_equal(out.assoc, reference_gca(ctx, demands, cfg),
+                                      err_msg=f"seed {seed}")
+        total_drops += int(np.count_nonzero(_gca_seed(ctx, cfg).any(axis=0))
+                           - np.count_nonzero(out.assoc.any(axis=0)))
+    assert total_drops > 0
+
+
+@pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (10, 25), (30, 60)])
+def test_batched_drop_min_se_matches_exact_evaluation(num_ues, num_aps):
+    worst = 0.0
+    drops = 0
+    rng = np.random.default_rng(31)
+    for seed in range(950, 953):
+        cfg, ctx, demands = _scene(num_ues, num_aps, seed)
+        start = _gca_seed(ctx, cfg)
+        # the starting clusters, and the same with a third of the APs dropped
+        thinned = start & (rng.random(num_aps) < 2 / 3)[None, :]
+        for assoc in (start, thinned):
+            active = np.flatnonzero(assoc.any(axis=0))
+            batched = _drop_min_se(ctx, assoc, demands, active)
+            for m, se in zip(active, batched):
+                trial = assoc.copy()
+                trial[:, m] = False
+                sinr = ctx.evaluate_assoc(trial, demands).sinr
+                worst = max(worst, abs(se - float(np.log2(1.0 + sinr).min())))
+                drops += 1
+    assert drops > 0
+    # about 1000x headroom below the screen's margin
+    assert worst <= 1e-12
+
+
+def test_gca_confirms_only_screen_survivors(monkeypatch):
+    cfg, ctx, demands = _scene(30, 60, seed=960)
+    expected = reference_gca(ctx, demands, cfg)
+    calls = []
+    survivors = []
+    original_eval = EvalContext.evaluate_assoc
+    original_screen = baselines._may_win
+
+    def counted(self, *args):
+        calls.append(args)
+        return original_eval(self, *args)
+
+    def screen(gain):
+        mask = original_screen(gain)
+        survivors.append(int(np.count_nonzero(mask)))
+        return mask
+
+    monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
+    monkeypatch.setattr(baselines, "_may_win", screen)
+    out = gca(ctx, demands, cfg)
+    np.testing.assert_array_equal(out.assoc, expected)
+    drops = int(np.count_nonzero(_gca_seed(ctx, cfg).any(axis=0))
+                - np.count_nonzero(out.assoc.any(axis=0)))
+    # one round per drop plus the last; one exact call to start, one per survivor
+    assert drops > 0
+    assert len(survivors) == drops + 1
+    assert len(calls) == 1 + sum(survivors)
+    # no near ties here: only each round's winner survives, none in the last
+    assert sum(survivors) == drops
 
 
 def test_registry_contents():

@@ -65,6 +65,30 @@ def test_config_rejects_nan_infinite_and_fractional(name, value):
         ScenarioConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_power", "0.2"),
+    ("noise_var", None),
+    ("pathloss_exp", "2"),
+    ("satisfaction_threshold", "1"),
+    ("area", (200.0, "x")),
+    ("area", "ab"),
+    ("area", 200.0),
+    ("demand_set", (5e6, "x")),
+    ("demand_set", "abc"),
+])
+def test_config_rejects_non_numbers(name, value):
+    with pytest.raises(ValueError, match=name):
+        ScenarioConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_config_shadow_in_db_must_be_bool(value):
+    # a truthy string would otherwise switch shadowing to dB silently
+    with pytest.raises(ValueError, match="shadow_in_db"):
+        ScenarioConfig(shadow_in_db=value)
+    assert ScenarioConfig(shadow_in_db=np.bool_(True)).shadow_in_db
+
+
 def test_layout_shapes_and_bounds():
     cfg = ScenarioConfig(seed=3)
     layout = generate_layout(cfg, substream(3, "layout"))

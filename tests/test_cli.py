@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import cfmatch.baselines
 from cfmatch import ScenarioConfig, RunSpec, load_config, cmd_run, main
 from cfmatch.cli import RECORD_COLUMNS
 
@@ -175,6 +176,49 @@ def test_main_rejects_bad_kappa0(tmp_path, capsys):
     rc = main(["--kappa0", "1.2", "--out", str(tmp_path / "x")])
     assert rc != 0
     assert "kappa0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_power", "0.2"),
+    ("area", [200, "x"]),
+    ("demand_set", [5e6, "fast"]),
+    ("shadow_in_db", "false"),
+])
+def test_main_rejects_non_numeric_config_values(tmp_path, capsys, field, value):
+    payload = dict(TINY)
+    payload[field] = value
+    config_path = _write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    rc = main(["--config", config_path, "--strategies", "bc", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_main_reports_swap_cap_error(tmp_path, capsys, monkeypatch):
+    # the cap trips on the second seed, after the first seed's files exist
+    original = cfmatch.baselines.swap_matching
+    calls = []
+
+    def capped(*args):
+        calls.append(args)
+        if len(calls) > TINY["num_steps"]:
+            raise cfmatch.baselines.SwapCapExceeded("swap refinement exceeded 32 swaps")
+        return original(*args)
+
+    monkeypatch.setattr(cfmatch.baselines, "swap_matching", capped)
+    config_path = _write_config(tmp_path, TINY)
+    out = tmp_path / "run"
+    rc = main(["--config", config_path, "--strategies", "da-smp",
+               "--seeds", "1,2", "--out", str(out)])
+    assert rc == 2
+    assert len(calls) == TINY["num_steps"] + 1
+    captured = capsys.readouterr()
+    assert "seed 1" in captured.out
+    assert captured.err == "error: swap refinement exceeded 32 swaps\n"
+    assert os.listdir(out) == []
 
 
 def test_main_defaults_come_from_config(tmp_path):
