@@ -11,14 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ScenarioConfig
-from .evaluate import Matching, as_eval_context
+from .evaluate import SCREEN_MARGIN, Matching, as_eval_context
 from .matching import GameCounters, ea_m2m
-
-
-# Batched and exact scores (kappa of a trade, min spectral efficiency of
-# a drop) agree within 1e-12, so a screen this much looser than the exact
-# rule never drops a candidate the rule would take.
-SCREEN_MARGIN = 1e-9
 
 
 def best_channel(channels, demands, config: ScenarioConfig) -> Matching:

@@ -206,6 +206,10 @@ def realize_channels(layout: Layout, config: ScenarioConfig,
     frng = rng if fading_rng is None else fading_rng
     n = config.antennas_per_ap
     shape = (d.shape[0], d.shape[1], n)
-    alpha = (frng.standard_normal(shape) + 1j * frng.standard_normal(shape)) / np.sqrt(2.0)
-    vectors = alpha * np.sqrt(gains)[:, :, None]
+    # filled in place: no (K, M, N) temporaries beside the result
+    vectors = np.empty(shape, dtype=complex)
+    vectors.real = frng.standard_normal(shape)
+    vectors.imag = frng.standard_normal(shape)
+    vectors /= np.sqrt(2.0)
+    vectors *= np.sqrt(gains)[:, :, None]
     return ChannelRealization(gains=gains, vectors=vectors, distances=d)

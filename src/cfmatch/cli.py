@@ -52,6 +52,11 @@ def load_config(path: str | None) -> ScenarioConfig:
     return ScenarioConfig(**merged)
 
 
+def _kappa_tag(kappa0: float) -> str:
+    """How a threshold appears in output file names."""
+    return f"{kappa0:g}"
+
+
 @dataclass
 class RunSpec:
     """Validated parameters of one CLI run."""
@@ -73,11 +78,19 @@ class RunSpec:
         for s in self.seeds:
             if s < 0:
                 raise ValueError(f"seeds must be nonnegative, got {s}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {self.seeds}")
         if not self.kappa0_values:
             raise ValueError("kappa0 must list at least one threshold")
+        tags = {}
         for v in self.kappa0_values:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"kappa0 values must be in [0, 1], got {v}")
+            tag = _kappa_tag(v)
+            if tag in tags:
+                raise ValueError(f"kappa0 values {tags[tag]!r} and {v!r} would both "
+                                 f"write the files tagged kappa{tag}")
+            tags[tag] = v
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 
@@ -168,7 +181,7 @@ def cmd_run(spec: RunSpec) -> int:
                 cfg = replace(config, seed=seed, satisfaction_threshold=kappa0)
                 records = run_episode(cfg, spec.strategies)
                 summary = summarize(records)
-                tag = f"seed{seed}_kappa{kappa0:g}"
+                tag = f"seed{seed}_kappa{_kappa_tag(kappa0)}"
                 rec_path = os.path.join(spec.out_dir, f"records_{tag}.{spec.fmt}")
                 rows = _record_rows(seed, kappa0, records)
                 if spec.fmt == "csv":

@@ -14,6 +14,16 @@ satisfaction of all served UEs does not drop.
 Every association updates both preference lists and both quotas, and a
 player whose quota hits zero disappears from all lists (including its
 own), so quotas can never be exceeded.
+
+The evolution phase is delta-scored.  Adding AP m to UE k changes only
+AP m's power share, so the amplitudes of the current matching are kept
+up to date commit by commit, and one batched pass scores every AP in a
+UE's window at O(K^2) each instead of a full O(K^2 M) evaluation.  A
+decision those batched values take by more than their error (about
+1e-12, against a SCREEN_MARGIN of 1e-9) stands; a near-tie is
+re-checked by the exact evaluator on the trial and the current
+matching, so no comparison is loosened and every outcome is that of
+one exact evaluation per test.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ScenarioConfig
-from .evaluate import Matching, as_eval_context
+from .evaluate import SCREEN_MARGIN, EvalContext, Matching, as_eval_context
 
 
 @dataclass
@@ -200,27 +210,111 @@ def ea_initial_association(state: PreferenceState, config: ScenarioConfig,
 def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching,
                       channels, demands, config: ScenarioConfig,
                       counters: GameCounters,
-                      current_eval=None) -> bool:
+                      current_eval=None, batched=None) -> bool:
     """Test whether adding AP m to UE k's cluster is worth committing.
 
     Requires: k inside the remaining-quota window of m's list, k's own
     satisfaction strictly improves, and the summed satisfaction of all
     currently served UEs does not drop.
+
+    batched, if given, is (trial kappa, current kappa), each within
+    SCREEN_MARGIN of the exact one; the rule is applied to them when
+    they clear it by more than that error.  Otherwise the exact
+    evaluator decides.  current_eval is the current matching's exact
+    evaluation, or a function returning it, called only if needed.
     """
     counters.favorable_tests += 1
     if k not in state.ap_prefs[m][:state.ap_quota[m]]:
         return False
+    served = matching.assoc.any(axis=1)
+    if batched is not None and _clear_of_ties(*batched, k, served):
+        return _favorable(*batched, k, served)
     ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     if current_eval is None:
         current_eval = ctx.evaluate_assoc(matching.assoc, demands)
+    elif callable(current_eval):
+        current_eval = current_eval()
     trial = matching.assoc.copy()
     trial[k, m] = True
-    trial_eval = ctx.evaluate_assoc(trial, demands)
-    if not trial_eval.kappa[k] > current_eval.kappa[k]:
-        return False
-    served = matching.assoc.any(axis=1)
-    return float(trial_eval.kappa[served].sum()) >= float(current_eval.kappa[served].sum())
+    return _favorable(ctx.evaluate_assoc(trial, demands).kappa, current_eval.kappa,
+                      k, served)
+
+
+def _favorable(trial, current, k, served) -> bool:
+    """The favorable-pair rule on the kappa of the trial and the current
+    matching: k strictly improves and the served sum does not drop."""
+    return bool(trial[k] > current[k]
+                and float(trial[served].sum()) >= float(current[served].sum()))
+
+
+def _clear_of_ties(trial, current, k, served) -> bool:
+    """True when kappa values each within SCREEN_MARGIN of the exact
+    ones must give _favorable the exact values' answer: each comparison
+    it needs clears its threshold by more than the summed error."""
+    gain = trial[k] - current[k]
+    change = float(trial[served].sum()) - float(current[served].sum())
+    band = 2 * SCREEN_MARGIN
+    sum_band = trial.size * band
+    return gain < -band or change < -sum_band or (gain > band and change > sum_band)
+
+
+class _GrowingScores:
+    """Batched kappa of a matching that grows one association at a time.
+
+    Holds evaluate_assoc's beam weights w[j, m] and amplitudes amp[k, j]
+    (what UE j's beams deliver at UE k) for the current matching.  An
+    add of (k, m) changes only AP m's power share, so only the columns
+    of amp for AP m's load, k included, move, each by one cross term.
+    The current kappa and the kappa after any candidate add then cost
+    O(K^2) each instead of evaluate_assoc's O(K^2 M), and agree with it
+    within 1e-12.  saturated marks the UEs whose exact kappa is surely
+    1.  exact() is evaluate_assoc of the current matching, computed at
+    most once per matching.
+    """
+
+    def __init__(self, ctx: EvalContext, matching: Matching, demands: np.ndarray):
+        self.ctx = ctx
+        self.matching = matching
+        self.demands = demands
+        assoc = matching.assoc
+        self.w = assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
+        self.amp = np.einsum("kjm,jm->kj", ctx.cross, self.w)
+        self._rescore()
+
+    def _rescore(self) -> None:
+        _, rate, self.kappa = self.ctx.score_amplitudes(self.amp, self.demands)
+        # rate this far above demand is above it exactly too: kappa is 1
+        self.saturated = rate > self.demands * (1.0 + SCREEN_MARGIN)
+        self._exact = None
+
+    def exact(self):
+        if self._exact is None:
+            self._exact = self.ctx.evaluate_assoc(self.matching.assoc, self.demands)
+        return self._exact
+
+    def add_kappa(self, k: int, aps: list[int]) -> np.ndarray:
+        """(len(aps), K) kappa after adding each AP of aps alone to k."""
+        trial_amp = np.repeat(self.amp[None], len(aps), axis=0)
+        for amp, m in zip(trial_amp, aps):
+            load = np.append(np.flatnonzero(self.matching.assoc[:, m]), k)
+            amp[:, load] += self._delta(m, load)[1]
+        return self.ctx.score_amplitudes(trial_amp, self.demands)[2]
+
+    def commit(self, m: int) -> None:
+        """Follow an add to AP m already applied to the matching."""
+        load = np.flatnonzero(self.matching.assoc[:, m])
+        w_m, delta = self._delta(m, load)
+        self.amp[:, load] += delta
+        self.w[load, m] = w_m
+        self._rescore()
+
+    def _delta(self, m: int, load: np.ndarray):
+        """AP m's beam weights when it serves exactly load, and the
+        change they make to the amplitude columns of load."""
+        ctx = self.ctx
+        w_m = np.sqrt(ctx.max_power / load.size) * ctx.inv_denom[load, m]
+        return w_m, ctx.cross[:, load, m] * (w_m - self.w[load, m])
 
 
 def cluster_evolution(state: PreferenceState, matching: Matching,
@@ -234,16 +328,25 @@ def cluster_evolution(state: PreferenceState, matching: Matching,
     scan the first min(remaining quota, list length) APs on its list and
     commit the first favorable one.  The loop stops after a full round
     without a commit; whoever is still unsettled ends up unsatisfied.
+
+    Every decision is taken on batched kappa kept up to date commit by
+    commit; one that falls within their error of its threshold is
+    taken on exact evaluate_assoc values instead.
     """
     ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     active = partition.associated
+    scores = _GrowingScores(ctx, matching, demands)
+    threshold = config.satisfaction_threshold
 
     while active:
         tests_at_start = counters.favorable_tests
-        current = ctx.evaluate_assoc(matching.assoc, demands)
         for k in sorted(active):
-            if current.kappa[k] >= config.satisfaction_threshold:
+            kappa = scores.kappa[k]
+            # a saturated UE sits at exactly kappa 1, at or above any threshold
+            if abs(kappa - threshold) <= SCREEN_MARGIN and not scores.saturated[k]:
+                kappa = scores.exact().kappa[k]
+            if kappa >= threshold:
                 active.discard(k)
                 partition.satisfied.add(k)
             elif not state.ue_prefs[k]:
@@ -251,13 +354,15 @@ def cluster_evolution(state: PreferenceState, matching: Matching,
                 partition.unsatisfied.add(k)
         committed = False
         for k in sorted(active):
-            window = min(state.ue_quota[k], len(state.ue_prefs[k]))
-            for idx in range(window):
-                m = state.ue_prefs[k][idx]
-                if is_favorable_pair(m, k, state, matching, ctx, demands,
-                                     config, counters, current_eval=current):
+            window = state.ue_prefs[k][:state.ue_quota[k]]
+            if not window:
+                continue
+            for m, kappa in zip(window, scores.add_kappa(k, window)):
+                if is_favorable_pair(m, k, state, matching, ctx, demands, config,
+                                     counters, current_eval=scores.exact,
+                                     batched=(kappa, scores.kappa)):
                     associate(k, m, state, matching, counters)
-                    current = ctx.evaluate_assoc(matching.assoc, demands)
+                    scores.commit(m)
                     committed = True
                     if trace is not None:
                         trace.append(("evolve", k, m))

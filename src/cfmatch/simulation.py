@@ -108,6 +108,8 @@ def run_episode(config: ScenarioConfig, strategies: list[str]) -> list[MetricsRe
                 quota_violation=matching.quota_violation(config.ap_quota,
                                                          config.ue_quota),
             ))
+        # free this step's K^2 M cache before the next step builds its own
+        del channels, ctx
     return records
 
 

@@ -2,14 +2,15 @@
 
 reference_evaluate scores a matching with pure per-element loops, no
 vectorization, deliberately sharing no code with the package so the two
-routes can check each other.  reference_swap_matching and reference_gca
-are the swap scan and the gca drop loop in their plain form: one full
-exact evaluation per candidate.
+routes can check each other.  reference_swap_matching, reference_gca
+and reference_cluster_evolution are the swap scan, the gca drop loop
+and the ea evolution phase in their plain form: one full exact
+evaluation per candidate.
 """
 
 import numpy as np
 
-from cfmatch import Matching, as_eval_context
+from cfmatch import Matching, as_eval_context, associate
 
 
 def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands):
@@ -140,3 +141,58 @@ def reference_gca(channels, demands, config):
         assoc[:, best_m] = False
         current += best_gain
     return assoc
+
+
+def reference_cluster_evolution(state, matching, partition, channels, demands,
+                                config, counters, trace=None):
+    """cluster_evolution with one full evaluate_assoc per favorable test.
+
+    Same settling, scan order, window, favorable-pair rule and counters
+    as the package's loop, with the current matching re-evaluated at
+    every round start and after every commit and no batched scores, so
+    any decision the batched scores take wrongly shows up as a
+    different result.
+    """
+    ctx = as_eval_context(channels, config)
+    demands = np.asarray(demands, dtype=float)
+    active = partition.associated
+
+    while active:
+        tests_at_start = counters.favorable_tests
+        current = ctx.evaluate_assoc(matching.assoc, demands)
+        for k in sorted(active):
+            if current.kappa[k] >= config.satisfaction_threshold:
+                active.discard(k)
+                partition.satisfied.add(k)
+            elif not state.ue_prefs[k]:
+                active.discard(k)
+                partition.unsatisfied.add(k)
+        committed = False
+        for k in sorted(active):
+            window = min(state.ue_quota[k], len(state.ue_prefs[k]))
+            for idx in range(window):
+                m = state.ue_prefs[k][idx]
+                counters.favorable_tests += 1
+                if k not in state.ap_prefs[m][:state.ap_quota[m]]:
+                    continue
+                trial = matching.assoc.copy()
+                trial[k, m] = True
+                kappa = ctx.evaluate_assoc(trial, demands).kappa
+                served = matching.assoc.any(axis=1)
+                if (kappa[k] > current.kappa[k]
+                        and float(kappa[served].sum())
+                        >= float(current.kappa[served].sum())):
+                    associate(k, m, state, matching, counters)
+                    current = ctx.evaluate_assoc(matching.assoc, demands)
+                    committed = True
+                    if trace is not None:
+                        trace.append(("evolve", k, m))
+                    break
+        counters.tests_per_round.append(counters.favorable_tests - tests_at_start)
+        if not committed:
+            break
+
+    for k in sorted(active):
+        partition.unsatisfied.add(k)
+    active.clear()
+    return matching, partition

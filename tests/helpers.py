@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from cfmatch import (ChannelRealization, ScenarioConfig, Matching,
-                     build_preferences, associate, as_eval_context)
+from cfmatch import (ChannelRealization, ScenarioConfig, Matching, EvalContext,
+                     build_preferences, associate, as_eval_context,
+                     generate_layout, realize_channels, draw_demands, substream)
 
 
 def small_config(num_aps, num_ues, antennas_per_ap=1, **overrides):
@@ -25,6 +26,17 @@ def random_channels(rng, num_ues, num_aps, antennas):
     vectors = alpha * np.sqrt(gains)[:, :, None]
     distances = rng.uniform(1.0, 300.0, size=(num_ues, num_aps))
     return ChannelRealization(gains=gains, vectors=vectors, distances=distances)
+
+
+def seeded_scene(num_ues, num_aps, seed, **overrides):
+    """The config, context and demands of the first step of a seeded scene."""
+    cfg = ScenarioConfig(num_ues=num_ues, num_aps=num_aps, num_steps=1, seed=seed,
+                         **overrides)
+    layout = generate_layout(cfg, substream(seed, "layout"))
+    ch = realize_channels(layout, cfg, substream(seed, "shadowing", 1),
+                          substream(seed, "fading", 1))
+    demands = draw_demands(cfg, substream(seed, "demands", 1))
+    return cfg, EvalContext(ch, cfg), demands
 
 
 def channels_from_vectors(vectors):

@@ -4,14 +4,13 @@ import pytest
 from cfmatch import (ScenarioConfig, Matching, best_channel, min_distance,
                      canonical, gca, da_m2m, swap_matching, STRATEGIES,
                      get_strategy, evaluate_network, as_eval_context,
-                     GameCounters, ChannelRealization, EvalContext,
-                     generate_layout, realize_channels, draw_demands, substream)
+                     GameCounters, ChannelRealization, EvalContext)
 from cfmatch import baselines
 from cfmatch.baselines import SCREEN_MARGIN, _drop_min_se, _pair_trades
 
 from bruteforce import reference_gca, reference_swap_matching
 from helpers import (small_config, random_channels, channels_from_vectors,
-                     random_demands, check_matching_valid)
+                     random_demands, check_matching_valid, seeded_scene)
 
 
 def _demands(num_ues, value=3e7):
@@ -239,21 +238,10 @@ def test_swap_preserves_structure_and_sum():
         check_matching_valid(out, cfg)
 
 
-def _scene(num_ues, num_aps, seed, **overrides):
-    """The config, context and demands of the first step of a seeded scene."""
-    cfg = ScenarioConfig(num_ues=num_ues, num_aps=num_aps, num_steps=1, seed=seed,
-                         **overrides)
-    layout = generate_layout(cfg, substream(seed, "layout"))
-    ch = realize_channels(layout, cfg, substream(seed, "shadowing", 1),
-                          substream(seed, "fading", 1))
-    demands = draw_demands(cfg, substream(seed, "demands", 1))
-    return cfg, EvalContext(ch, cfg), demands
-
-
 def _da_scene(num_ues, num_aps, seed, **overrides):
     """The DA matching of the first step of a seeded scene, with the
     step's context and demands."""
-    cfg, ctx, demands = _scene(num_ues, num_aps, seed, **overrides)
+    cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed, **overrides)
     matching, _ = da_m2m(ctx, demands, cfg)
     return cfg, ctx, demands, matching
 
@@ -354,7 +342,7 @@ def test_gca_matches_reference_loop(num_ues, num_aps, num_seeds):
     # the loop must end where one exact evaluation per drop ends
     total_drops = 0
     for seed in range(900, 900 + num_seeds):
-        cfg, ctx, demands = _scene(num_ues, num_aps, seed)
+        cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed)
         out = gca(ctx, demands, cfg)
         np.testing.assert_array_equal(out.assoc, reference_gca(ctx, demands, cfg),
                                       err_msg=f"seed {seed}")
@@ -369,7 +357,7 @@ def test_batched_drop_min_se_matches_exact_evaluation(num_ues, num_aps):
     drops = 0
     rng = np.random.default_rng(31)
     for seed in range(950, 953):
-        cfg, ctx, demands = _scene(num_ues, num_aps, seed)
+        cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed)
         start = _gca_seed(ctx, cfg)
         # the starting clusters, and the same with a third of the APs dropped
         thinned = start & (rng.random(num_aps) < 2 / 3)[None, :]
@@ -388,7 +376,7 @@ def test_batched_drop_min_se_matches_exact_evaluation(num_ues, num_aps):
 
 
 def test_gca_confirms_only_screen_survivors(monkeypatch):
-    cfg, ctx, demands = _scene(30, 60, seed=960)
+    cfg, ctx, demands = seeded_scene(30, 60, seed=960)
     expected = reference_gca(ctx, demands, cfg)
     calls = []
     survivors = []

@@ -270,6 +270,19 @@ def test_realize_separate_fading_stream():
     assert not np.array_equal(a.vectors, b.vectors)
 
 
+def test_realize_coefficients_follow_the_fading_stream_bit_for_bit():
+    # real parts are the stream's first K*M*N normals, imaginary parts the
+    # next; scaled by 1/sqrt(2) and the root gain, exactly as written out
+    cfg = ScenarioConfig(num_aps=7, num_ues=5, antennas_per_ap=3)
+    layout = generate_layout(cfg, substream(15, "layout"))
+    ch = realize_channels(layout, cfg, substream(15, "shadowing", 2),
+                          substream(15, "fading", 2))
+    fading = substream(15, "fading", 2)
+    shape = ch.vectors.shape
+    alpha = (fading.standard_normal(shape) + 1j * fading.standard_normal(shape)) / np.sqrt(2.0)
+    assert ch.vectors.tobytes() == (alpha * np.sqrt(ch.gains)[:, :, None]).tobytes()
+
+
 def test_realize_deterministic():
     cfg = ScenarioConfig(num_aps=3, num_ues=2)
     layout = generate_layout(cfg, substream(14, "layout"))

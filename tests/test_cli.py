@@ -75,6 +75,11 @@ def test_runspec_validation():
         RunSpec(None, ["ea"], [-1], [1.0], "out", "csv")
     with pytest.raises(ValueError, match="kappa0"):
         RunSpec(None, ["ea"], [1], [1.5], "out", "csv")
+    with pytest.raises(ValueError, match="seeds must not repeat"):
+        RunSpec(None, ["ea"], [1, 2, 1], [1.0], "out", "csv")
+    with pytest.raises(ValueError, match="kappa0 values"):
+        RunSpec(None, ["ea"], [1], [0.1234567, 0.12345671], "out", "csv")
+    RunSpec(None, ["ea"], [1, 2], [0.123456, 0.123457], "out", "csv")
     with pytest.raises(ValueError, match="format"):
         RunSpec(None, ["ea"], [1], [1.0], "out", "yaml")
 
@@ -176,6 +181,25 @@ def test_main_rejects_bad_kappa0(tmp_path, capsys):
     rc = main(["--kappa0", "1.2", "--out", str(tmp_path / "x")])
     assert rc != 0
     assert "kappa0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, values, field", [
+    ("--seeds", "3,3", "seeds"),
+    ("--kappa0", "0.1234567,0.12345671", "kappa0"),
+    ("--kappa0", "0.8,0.8", "kappa0"),
+])
+def test_main_rejects_inputs_sharing_output_files(tmp_path, capsys, flag, values, field):
+    # each (seed, threshold) owns the files named by its tag; two inputs
+    # with one tag would overwrite each other's results
+    config_path = _write_config(tmp_path, TINY)
+    out = tmp_path / "run"
+    rc = main(["--config", config_path, "--strategies", "bc", flag, values,
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -181,6 +181,19 @@ def test_evaluate_matches_bruteforce_reference():
         np.testing.assert_allclose(ev.kappa, ref["kappa"], rtol=1e-10)
 
 
+@pytest.mark.parametrize("num_ues", [1, 15, 16, 17, 33, 40])
+def test_context_blocked_build_equals_one_shot_einsum(num_ues):
+    # the cache is filled a block of UE rows at a time; each entry is the
+    # same antenna sum, so the result must match bit for bit
+    rng = np.random.default_rng(num_ues)
+    num_aps, n_ant = 9, 3
+    ch = random_channels(rng, num_ues, num_aps, n_ant)
+    ctx = EvalContext(ch, small_config(num_aps, num_ues, antennas_per_ap=n_ant))
+    h = ch.vectors
+    np.testing.assert_array_equal(ctx.cross, np.einsum("kmn,jmn->kjm", h.conj(), h))
+    np.testing.assert_array_equal(ctx.norm2, np.real(np.einsum("kmn,kmn->km", h.conj(), h)))
+
+
 def test_new_interferer_never_helps():
     # interference adds one |.|^2 term per interfering UE, so serving a
     # previously idle UE (with k's own cluster and powers held fixed)

@@ -1,14 +1,19 @@
+import copy
+
 import numpy as np
 import pytest
 
 from cfmatch import (Matching, build_preferences, associate,
                      ea_initial_association, is_favorable_pair,
                      cluster_evolution, ea_m2m, evaluate_network,
-                     as_eval_context, GameCounters, UEPartition)
+                     as_eval_context, GameCounters, UEPartition, EvalContext)
+from cfmatch import matching as matching_module
+from cfmatch.matching import _GrowingScores
 
+from bruteforce import reference_cluster_evolution
 from helpers import (small_config, random_channels, channels_from_vectors,
                      random_demands, check_partition, check_matching_valid,
-                     replay_ea_trace)
+                     replay_ea_trace, seeded_scene)
 
 
 def test_preferences_sorted_by_gain_desc():
@@ -396,3 +401,141 @@ def test_ea_m2m_accepts_prebuilt_context():
     a, _, _ = ea_m2m(ch, demands, cfg)
     b, _, _ = ea_m2m(ctx, demands, cfg)
     np.testing.assert_array_equal(a.assoc, b.assoc)
+
+
+def _evolution_start(cfg, ctx):
+    """(state, matching, partition, counters) after the initial phase."""
+    state = build_preferences(ctx.channels.gains, cfg)
+    counters = GameCounters()
+    matching, partition, state = ea_initial_association(state, cfg, counters)
+    return state, matching, partition, counters
+
+
+def _evolve_both(cfg, ctx, demands):
+    """cluster_evolution and reference_cluster_evolution from one start,
+    each as (assoc, trace, counters, partition sets)."""
+    start = _evolution_start(cfg, ctx)
+    runs = []
+    for evolve in (cluster_evolution, reference_cluster_evolution):
+        state, matching, partition, counters = copy.deepcopy(start)
+        trace = []
+        evolve(state, matching, partition, ctx, demands, cfg, counters, trace=trace)
+        runs.append((matching.assoc, trace, counters, partition.sets()))
+    return runs
+
+
+@pytest.mark.parametrize("num_ues, num_aps, num_seeds", [
+    (5, 8, 100),
+    (10, 25, 30),
+    (30, 60, 5),
+    (70, 140, 2),
+])
+def test_cluster_evolution_matches_reference_loop(num_ues, num_aps, num_seeds):
+    # batched scores may only decide a test the way the exact evaluator
+    # would, so every commit, count and settlement must be the same
+    rng = np.random.default_rng(num_ues)
+    commits = 0
+    for seed in range(700, 700 + num_seeds):
+        cfg, ctx, demands = seeded_scene(
+            num_ues, num_aps, seed,
+            satisfaction_threshold=(0.8, 0.9, 1.0)[seed % 3],
+            ap_quota=int(rng.integers(1, num_ues + 1)),
+            ue_quota=int(rng.integers(1, num_aps + 1)))
+        (assoc, trace, counters, sets), expected = _evolve_both(cfg, ctx, demands)
+        np.testing.assert_array_equal(assoc, expected[0], err_msg=f"seed {seed}")
+        assert (trace, counters, sets) == expected[1:], f"seed {seed}"
+        commits += len(trace)
+    assert commits > 0
+
+
+def test_cluster_evolution_exact_rechecks_match_reference_loop(monkeypatch):
+    # a margin wider than any kappa gap sends every test and settlement
+    # to the exact re-check, which must reproduce the plain loop
+    calls = []
+    original = EvalContext.evaluate_assoc
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(matching_module, "SCREEN_MARGIN", 1.0)
+    for seed in range(720, 735):
+        cfg, ctx, demands = seeded_scene(10, 25, seed,
+                                         satisfaction_threshold=(0.8, 0.9, 1.0)[seed % 3])
+        monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
+        (assoc, trace, counters, sets), expected = _evolve_both(cfg, ctx, demands)
+        monkeypatch.setattr(EvalContext, "evaluate_assoc", original)
+        np.testing.assert_array_equal(assoc, expected[0], err_msg=f"seed {seed}")
+        assert (trace, counters, sets) == expected[1:], f"seed {seed}"
+    assert len(calls) > 0
+
+
+@pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (10, 25), (30, 60)])
+def test_growing_scores_match_exact_evaluation(num_ues, num_aps):
+    # grow the initial matching by random window adds until every list
+    # is empty, checking the batched kappa of every candidate add and the
+    # incrementally kept current kappa after every commit
+    rng = np.random.default_rng(num_aps)
+    worst = 0.0
+    adds = 0
+    saturated = 0
+    for seed in range(750, 753):
+        cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed)
+        state, matching, _, _ = _evolution_start(cfg, ctx)
+        scores = _GrowingScores(ctx, matching, demands)
+        while True:
+            exact = ctx.evaluate_assoc(matching.assoc, demands).kappa
+            worst = max(worst, float(np.abs(scores.kappa - exact).max()))
+            # the saturated flag promises exact kappa 1
+            assert np.all(exact[scores.saturated] == 1.0)
+            saturated += int(np.count_nonzero(scores.saturated))
+            open_ues = [k for k in range(num_ues) if state.ue_prefs[k]]
+            if not open_ues:
+                break
+            k = open_ues[rng.integers(len(open_ues))]
+            window = state.ue_prefs[k][:state.ue_quota[k]]
+            for m, kappa in zip(window, scores.add_kappa(k, window)):
+                trial = matching.assoc.copy()
+                trial[k, m] = True
+                exact = ctx.evaluate_assoc(trial, demands).kappa
+                worst = max(worst, float(np.abs(kappa - exact).max()))
+                adds += 1
+            m = window[rng.integers(len(window))]
+            associate(k, m, state, matching)
+            scores.commit(m)
+    assert adds > 0 and saturated > 0
+    # about 1000x headroom below the screen's margin
+    assert worst <= 1e-12
+
+
+def test_ea_evaluates_exactly_only_near_ties(monkeypatch):
+    cfg, ctx, demands = seeded_scene(30, 60, seed=31, satisfaction_threshold=1.0)
+    expected = _evolve_both(cfg, ctx, demands)[1]
+    calls = []
+    ties = []
+    original_eval = EvalContext.evaluate_assoc
+    original_clear = matching_module._clear_of_ties
+
+    def counted(self, *args):
+        calls.append(args)
+        return original_eval(self, *args)
+
+    def clear(trial, current, k, served):
+        verdict = original_clear(trial, current, k, served)
+        if not verdict:
+            ties.append(k)
+        return verdict
+
+    monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
+    monkeypatch.setattr(matching_module, "_clear_of_ties", clear)
+    out, _, counters = ea_m2m(ctx, demands, cfg)
+    np.testing.assert_array_equal(out.assoc, expected[0])
+    assert counters == expected[2]
+    # evaluating every test and every matching would take one call per
+    # round, per window test and per commit
+    assert counters.favorable_tests == 39
+    # UE 18 reaches kappa 1 through others' commits after its round's
+    # settle check; its three window tests then tie at gain 0, and the
+    # exact evaluator scores the three trials and the current matching
+    assert ties == [18, 18, 18]
+    assert len(calls) == 4

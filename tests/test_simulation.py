@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from cfmatch import simulation
 from cfmatch import (ScenarioConfig, draw_demands, run_episode, summarize,
                      substream, generate_layout, step_mobility,
                      realize_channels, EvalContext, get_strategy,
@@ -79,6 +82,28 @@ def test_run_episode_da_count_constant():
     cfg = ScenarioConfig(num_steps=3, seed=1)
     records = run_episode(cfg, ["da"])
     assert [r.association_count for r in records] == [160, 160, 160]
+
+
+def test_run_episode_frees_each_step_before_the_next(monkeypatch):
+    # a step's realization and context must be gone before the next
+    # step draws its own, so at most one K^2 M cache is alive at a time
+    drawn, built = [], []
+
+    def draw(*args):
+        assert all(ref() is None for ref in drawn + built)
+        out = realize_channels(*args)
+        drawn.append(weakref.ref(out))
+        return out
+
+    def build(*args):
+        out = EvalContext(*args)
+        built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(simulation, "realize_channels", draw)
+    monkeypatch.setattr(simulation, "EvalContext", build)
+    run_episode(_tiny_config(num_steps=3), ["ea", "da"])
+    assert len(drawn) == len(built) == 3
 
 
 def test_run_episode_rejects_unknown_strategy():
