@@ -14,7 +14,7 @@ from .matching import (PreferenceState, UEPartition, GameCounters,
 from .baselines import (best_channel, min_distance, canonical, gca, da_m2m,
                         swap_matching, STRATEGIES, get_strategy)
 from .simulation import (MetricsRecord, StrategySummary, EpisodeSummary,
-                         draw_demands, run_episode, summarize)
+                         draw_demands, run_episode, run_sweep, summarize)
 from .cli import RunSpec, load_config, cmd_run, main
 from .streams import substream, STREAM_IDS
 
@@ -32,7 +32,7 @@ __all__ = [
     "best_channel", "min_distance", "canonical", "gca", "da_m2m",
     "swap_matching", "STRATEGIES", "get_strategy",
     "MetricsRecord", "StrategySummary", "EpisodeSummary", "draw_demands",
-    "run_episode", "summarize",
+    "run_episode", "run_sweep", "summarize",
     "RunSpec", "load_config", "cmd_run", "main",
     "substream", "STREAM_IDS",
     "__version__",

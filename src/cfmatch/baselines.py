@@ -298,6 +298,11 @@ STRATEGIES = {
     "gca": _run_gca,
 }
 
+# Strategies that read config.satisfaction_threshold.  Every other one
+# returns the same matching and counters whatever the threshold, so a
+# sweep over thresholds solves it once per timestep.
+THRESHOLD_STRATEGIES = frozenset({"ea"})
+
 
 def get_strategy(name: str):
     """Look up a strategy by registry name."""

@@ -3,7 +3,8 @@
 Config files are flat JSON objects whose keys mirror ScenarioConfig;
 missing keys fall back to the defaults.  Each (seed, threshold) pair
 produces one records file (per-UE per-timestep rows) and one summary
-JSON, with deterministic formatting so reruns are byte-identical.
+JSON, with deterministic formatting so reruns are byte-identical.  Each
+file is written under a temporary name and renamed into place.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from dataclasses import dataclass, replace, fields
 
 from .channel import ScenarioConfig
 from .baselines import STRATEGIES, SwapCapExceeded, get_strategy
-from .simulation import run_episode, summarize
+# run_episode is not called here, but perfbench/tracing.py wraps it in
+# this module's namespace, so the name stays
+from .simulation import run_episode, run_sweep, summarize
 
 # Config keys that arrive as JSON lists but live as tuples.
 _TUPLE_FIELDS = {"area", "demand_set"}
@@ -99,11 +102,11 @@ RECORD_COLUMNS = ["seed", "timestep", "strategy", "kappa_0", "ue_index", "kappa"
                   "rate_bps", "satisfied", "associations_total", "quota_violation"]
 
 
-def _record_rows(seed: int, kappa0: float, records) -> list[dict]:
-    rows = []
+def _record_rows(seed: int, kappa0: float, records):
+    """One row per (record, UE), generated as the writer consumes them."""
     for rec in records:
         for k in range(rec.kappa.shape[0]):
-            rows.append({
+            yield {
                 "seed": seed,
                 "timestep": rec.timestep,
                 "strategy": rec.strategy,
@@ -114,27 +117,38 @@ def _record_rows(seed: int, kappa0: float, records) -> list[dict]:
                 "satisfied": bool(rec.kappa[k] >= kappa0),
                 "associations_total": rec.association_count,
                 "quota_violation": rec.quota_violation,
-            })
-    return rows
+            }
 
 
-def _write_records_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row["seed"], row["timestep"], row["strategy"],
-                repr(row["kappa_0"]), row["ue_index"], repr(row["kappa"]),
-                repr(row["rate_bps"]), int(row["satisfied"]),
-                row["associations_total"], int(row["quota_violation"]),
-            ])
+def _write_records_csv(f, rows) -> None:
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(RECORD_COLUMNS)
+    for row in rows:
+        writer.writerow([
+            row["seed"], row["timestep"], row["strategy"],
+            repr(row["kappa_0"]), row["ue_index"], repr(row["kappa"]),
+            repr(row["rate_bps"]), int(row["satisfied"]),
+            row["associations_total"], int(row["quota_violation"]),
+        ])
 
 
-def _write_records_json(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(rows, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _write_json(f, obj) -> None:
+    json.dump(obj, f, indent=2, sort_keys=True)
+    f.write("\n")
+
+
+def _write_atomic(path: str, write, newline: str | None = None) -> None:
+    """Write a file under a temporary name beside path, then rename it
+    to path, so an interrupted write never leaves a truncated file."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _summary_payload(seed: int, kappa0: float, strategies: list[str],
@@ -171,29 +185,32 @@ def _print_summary(seed: int, kappa0: float, summary) -> None:
 
 
 def cmd_run(spec: RunSpec) -> int:
-    """Run all (seed, threshold) combinations and write result files."""
+    """Run all (seed, threshold) combinations and write result files.
+
+    Each seed's episode is walked once for all thresholds (run_sweep);
+    the files equal those of one run_episode per threshold.
+    """
     config = load_config(spec.config_path)
     os.makedirs(spec.out_dir, exist_ok=True)
     written: list[str] = []
     try:
         for seed in spec.seeds:
-            for kappa0 in spec.kappa0_values:
-                cfg = replace(config, seed=seed, satisfaction_threshold=kappa0)
-                records = run_episode(cfg, spec.strategies)
+            per_threshold = run_sweep(replace(config, seed=seed), spec.strategies,
+                                      spec.kappa0_values)
+            for kappa0, records in zip(spec.kappa0_values, per_threshold):
                 summary = summarize(records)
                 tag = f"seed{seed}_kappa{_kappa_tag(kappa0)}"
                 rec_path = os.path.join(spec.out_dir, f"records_{tag}.{spec.fmt}")
                 rows = _record_rows(seed, kappa0, records)
                 if spec.fmt == "csv":
-                    _write_records_csv(rec_path, rows)
+                    _write_atomic(rec_path, lambda f: _write_records_csv(f, rows),
+                                  newline="")
                 else:
-                    _write_records_json(rec_path, rows)
+                    _write_atomic(rec_path, lambda f: _write_json(f, list(rows)))
                 written.append(rec_path)
                 sum_path = os.path.join(spec.out_dir, f"summary_{tag}.json")
-                with open(sum_path, "w", encoding="utf-8") as f:
-                    json.dump(_summary_payload(seed, kappa0, spec.strategies, summary),
-                              f, indent=2, sort_keys=True)
-                    f.write("\n")
+                payload = _summary_payload(seed, kappa0, spec.strategies, summary)
+                _write_atomic(sum_path, lambda f: _write_json(f, payload))
                 written.append(sum_path)
                 _print_summary(seed, kappa0, summary)
     except Exception:

@@ -217,18 +217,25 @@ def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching
     satisfaction strictly improves, and the summed satisfaction of all
     currently served UEs does not drop.
 
-    batched, if given, is (trial kappa, current kappa), each within
-    SCREEN_MARGIN of the exact one; the rule is applied to them when
-    they clear it by more than that error.  Otherwise the exact
-    evaluator decides.  current_eval is the current matching's exact
+    batched, if given, is (trial kappa, current kappa, saturated):
+    kappa values each within SCREEN_MARGIN of the exact ones, and
+    whether k's exact current kappa is surely 1.  A saturated k cannot
+    strictly improve, since kappa is clamped at 1, so the test fails
+    outright; otherwise the rule is applied to the batched values when
+    they clear it by more than their error, and the exact evaluator
+    decides the rest.  current_eval is the current matching's exact
     evaluation, or a function returning it, called only if needed.
     """
     counters.favorable_tests += 1
     if k not in state.ap_prefs[m][:state.ap_quota[m]]:
         return False
     served = matching.assoc.any(axis=1)
-    if batched is not None and _clear_of_ties(*batched, k, served):
-        return _favorable(*batched, k, served)
+    if batched is not None:
+        trial_kappa, current_kappa, saturated = batched
+        if saturated:
+            return False
+        if _clear_of_ties(trial_kappa, current_kappa, k, served):
+            return _favorable(trial_kappa, current_kappa, k, served)
     ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     if current_eval is None:
@@ -331,7 +338,8 @@ def cluster_evolution(state: PreferenceState, matching: Matching,
 
     Every decision is taken on batched kappa kept up to date commit by
     commit; one that falls within their error of its threshold is
-    taken on exact evaluate_assoc values instead.
+    taken on exact evaluate_assoc values instead.  A UE that reached
+    kappa 1 during a round fails its window tests without either.
     """
     ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
@@ -360,7 +368,8 @@ def cluster_evolution(state: PreferenceState, matching: Matching,
             for m, kappa in zip(window, scores.add_kappa(k, window)):
                 if is_favorable_pair(m, k, state, matching, ctx, demands, config,
                                      counters, current_eval=scores.exact,
-                                     batched=(kappa, scores.kappa)):
+                                     batched=(kappa, scores.kappa,
+                                              scores.saturated[k])):
                     associate(k, m, state, matching, counters)
                     scores.commit(m)
                     committed = True

@@ -5,18 +5,20 @@ channel realization (and by default fresh demands) each step from named
 substreams of the master seed, runs every requested strategy on the
 identical realization, and records per-UE satisfaction metrics.
 Strategies consume no randomness, so adding or removing one never
-changes what the others see.
+changes what the others see.  A sweep over satisfaction thresholds
+walks the episode once and re-runs only the strategies that read the
+threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ScenarioConfig, generate_layout, step_mobility, realize_channels
 from .evaluate import EvalContext
 from .matching import GameCounters
-from .baselines import get_strategy
+from .baselines import THRESHOLD_STRATEGIES, get_strategy
 from .streams import substream
 
 
@@ -78,12 +80,28 @@ def run_episode(config: ScenarioConfig, strategies: list[str]) -> list[MetricsRe
     identical records; the per-timestep channel and demand draws do not
     depend on which strategies run.
     """
+    return run_sweep(config, strategies, [config.satisfaction_threshold])[0]
+
+
+def run_sweep(config: ScenarioConfig, strategies: list[str],
+              thresholds: list[float]) -> list[list[MetricsRecord]]:
+    """Run one seeded episode for several satisfaction thresholds.
+
+    Returns one record list per threshold, each equal to run_episode
+    of config with that satisfaction_threshold.  Mobility, channels,
+    demands and the evaluation context are drawn once per timestep, and
+    so is every strategy outside THRESHOLD_STRATEGIES, whose result
+    every threshold shares; only the satisfied count is taken per
+    threshold.  The strategies in THRESHOLD_STRATEGIES run once per
+    threshold.
+    """
     fns = [(name, get_strategy(name)) for name in strategies]
+    configs = [replace(config, satisfaction_threshold=k0) for k0 in thresholds]
     seed = config.seed
     layout = generate_layout(config, substream(seed, "layout"))
     waypoint_rng = substream(seed, "waypoints")
     demands = None
-    records: list[MetricsRecord] = []
+    records: list[list[MetricsRecord]] = [[] for _ in thresholds]
     for t in range(1, config.num_steps + 1):
         if t > 1:
             layout = step_mobility(layout, config, waypoint_rng)
@@ -94,20 +112,26 @@ def run_episode(config: ScenarioConfig, strategies: list[str]) -> list[MetricsRe
             demands = draw_demands(config, substream(seed, "demands", t))
         ctx = EvalContext(channels, config)
         for name, fn in fns:
-            matching, counters = fn(ctx, demands, config)
-            ev = ctx.evaluate_assoc(matching.assoc, demands)
-            satisfied = int(np.count_nonzero(ev.kappa >= config.satisfaction_threshold))
-            records.append(MetricsRecord(
-                timestep=t,
-                strategy=name,
-                kappa=ev.kappa,
-                per_ue_rate=ev.rate,
-                satisfied_count=satisfied,
-                association_count=matching.association_count(),
-                counters=counters,
-                quota_violation=matching.quota_violation(config.ap_quota,
-                                                         config.ue_quota),
-            ))
+            solved = None
+            for cfg, out in zip(configs, records):
+                # a threshold-free strategy's first solve serves every threshold
+                if solved is None or name in THRESHOLD_STRATEGIES:
+                    matching, counters = fn(ctx, demands, cfg)
+                    ev = ctx.evaluate_assoc(matching.assoc, demands)
+                    solved = (ev, matching.association_count(), counters,
+                              matching.quota_violation(cfg.ap_quota, cfg.ue_quota))
+                ev, association_count, counters, quota_violation = solved
+                out.append(MetricsRecord(
+                    timestep=t,
+                    strategy=name,
+                    kappa=ev.kappa,
+                    per_ue_rate=ev.rate,
+                    satisfied_count=int(np.count_nonzero(
+                        ev.kappa >= cfg.satisfaction_threshold)),
+                    association_count=association_count,
+                    counters=counters,
+                    quota_violation=quota_violation,
+                ))
         # free this step's K^2 M cache before the next step builds its own
         del channels, ctx
     return records

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -425,3 +427,31 @@ def test_registry_uniform_signature():
         assert isinstance(matching, Matching)
         assert isinstance(counters, GameCounters)
         matching.check_consistent()
+
+
+@pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (10, 25)])
+def test_threshold_free_strategies_ignore_the_threshold(num_ues, num_aps):
+    # a threshold sweep solves these once per step and shares the result
+    # with every threshold; one that starts reading the threshold must
+    # join THRESHOLD_STRATEGIES, or this fails
+    free = sorted(set(STRATEGIES) - baselines.THRESHOLD_STRATEGIES)
+    assert free and baselines.THRESHOLD_STRATEGIES <= set(STRATEGIES)
+    ea_moved = False
+    for seed in range(40, 44):
+        cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed)
+        outcomes = {}
+        for k0 in (0.5, 0.8, 1.0):
+            cfg = replace(cfg, satisfaction_threshold=k0)
+            for name in STRATEGIES:
+                matching, counters = get_strategy(name)(ctx, demands, cfg)
+                outcomes.setdefault(name, []).append((matching.assoc, counters))
+        for name in free:
+            (assoc, counters), *others = outcomes[name]
+            for other_assoc, other_counters in others:
+                np.testing.assert_array_equal(other_assoc, assoc,
+                                              err_msg=f"{name} seed {seed}")
+                assert other_counters == counters, f"{name} seed {seed}"
+        (assoc, counters), *others = outcomes["ea"]
+        ea_moved |= any(not np.array_equal(a, assoc) or c != counters for a, c in others)
+    # the scenes are ones where the threshold does matter to ea
+    assert ea_moved

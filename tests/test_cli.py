@@ -1,11 +1,16 @@
 import csv
+import dataclasses
+from collections import Counter
+import io
 import json
 import os
 
 import pytest
 
 import cfmatch.baselines
-from cfmatch import ScenarioConfig, RunSpec, load_config, cmd_run, main
+from cfmatch import (ScenarioConfig, RunSpec, load_config, cmd_run, main,
+                     run_episode, summarize)
+from cfmatch import cli, simulation
 from cfmatch.cli import RECORD_COLUMNS
 
 
@@ -154,6 +159,137 @@ def test_cmd_run_json_records_match_csv(tmp_path):
         assert jr["timestep"] == int(cr["timestep"])
         assert jr["kappa"] == float(cr["kappa"])
         assert jr["satisfied"] == bool(int(cr["satisfied"]))
+
+
+def _per_threshold_files(config_path, strategies, seeds, thresholds, fmt):
+    """Name -> text of the files of one run_episode per (seed, threshold),
+    in the documented records and summary formats."""
+    base = load_config(config_path)
+    files = {}
+    for seed in seeds:
+        for k0 in thresholds:
+            records = run_episode(
+                dataclasses.replace(base, seed=seed, satisfaction_threshold=k0),
+                strategies)
+            rows = [{"seed": seed, "timestep": r.timestep, "strategy": r.strategy,
+                     "kappa_0": k0, "ue_index": k, "kappa": float(r.kappa[k]),
+                     "rate_bps": float(r.per_ue_rate[k]),
+                     "satisfied": bool(r.kappa[k] >= k0),
+                     "associations_total": r.association_count,
+                     "quota_violation": r.quota_violation}
+                    for r in records for k in range(r.kappa.size)]
+            tag = f"seed{seed}_kappa{k0:g}"
+            if fmt == "csv":
+                buf = io.StringIO()
+                writer = csv.writer(buf, lineterminator="\n")
+                writer.writerow(RECORD_COLUMNS)
+                writer.writerows(
+                    [row["seed"], row["timestep"], row["strategy"], repr(row["kappa_0"]),
+                     row["ue_index"], repr(row["kappa"]), repr(row["rate_bps"]),
+                     int(row["satisfied"]), row["associations_total"],
+                     int(row["quota_violation"])] for row in rows)
+                files[f"records_{tag}.csv"] = buf.getvalue()
+            else:
+                files[f"records_{tag}.json"] = json.dumps(rows, indent=2,
+                                                          sort_keys=True) + "\n"
+            per_strategy = {}
+            for name, agg in summarize(records).per_strategy.items():
+                per_strategy[name] = dataclasses.asdict(agg)
+                del per_strategy[name]["strategy"]
+            payload = {"seed": seed, "kappa_0": k0, "strategies": strategies,
+                       "per_strategy": per_strategy}
+            files[f"summary_{tag}.json"] = json.dumps(payload, indent=2,
+                                                      sort_keys=True) + "\n"
+    return files
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cmd_run_sweep_equals_per_threshold_episodes(tmp_path, fmt):
+    # one pass per seed serves every threshold, byte for byte
+    config_path = _write_config(tmp_path, {**TINY, "num_steps": 3,
+                                           "demand_set": [5e6, 100e6]})
+    strategies, seeds, thresholds = ["ea", "da", "bc"], [1, 2], [0.5, 0.8, 1.0]
+    out = tmp_path / "sweep"
+    assert cmd_run(RunSpec(config_path, strategies, seeds, thresholds,
+                           str(out), fmt)) == 0
+    expected = _per_threshold_files(config_path, strategies, seeds, thresholds, fmt)
+    assert sorted(os.listdir(out)) == sorted(expected)
+    for name, text in expected.items():
+        with open(out / name, "rb") as f:
+            assert f.read() == text.encode("utf-8"), name
+
+
+@pytest.mark.parametrize("thresholds", [[1.0], [0.5, 0.8, 1.0]])
+def test_cmd_run_solves_threshold_free_strategies_once_per_step(tmp_path, monkeypatch,
+                                                                thresholds):
+    # channels, context and every strategy outside THRESHOLD_STRATEGIES
+    # run once per step of each seed, however many thresholds there are
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(simulation, "realize_channels",
+                        counting("channels", simulation.realize_channels))
+    monkeypatch.setattr(simulation, "EvalContext",
+                        counting("context", simulation.EvalContext))
+    for name in ("ea", "da", "bc"):
+        monkeypatch.setitem(cfmatch.baselines.STRATEGIES, name,
+                            counting(name, cfmatch.baselines.STRATEGIES[name]))
+    config_path = _write_config(tmp_path, TINY)
+    out = tmp_path / "run"
+    assert cmd_run(RunSpec(config_path, ["ea", "da", "bc"], [1, 2], thresholds,
+                           str(out), "csv")) == 0
+    assert len(os.listdir(out)) == 2 * 2 * len(thresholds)
+    steps = 2 * TINY["num_steps"]
+    assert calls == {"channels": steps, "context": steps, "da": steps, "bc": steps,
+                     "ea": steps * len(thresholds)}
+
+
+def test_cmd_run_interrupted_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    # files are written under a temporary name and renamed into place,
+    # so an interrupted rewrite leaves the earlier file whole
+    config_path = _write_config(tmp_path, TINY)
+    out = tmp_path / "run"
+    out.mkdir()
+    earlier = out / "records_seed1_kappa0.8.csv"
+    earlier.write_text("seed,timestep\n1,1\n")
+
+    def interrupted(f, rows):
+        f.write("seed,timestep\n")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "_write_records_csv", interrupted)
+    with pytest.raises(OSError, match="No space"):
+        cmd_run(RunSpec(config_path, ["bc"], [1], [0.8], str(out), "csv"))
+    assert os.listdir(out) == ["records_seed1_kappa0.8.csv"]
+    assert earlier.read_text() == "seed,timestep\n1,1\n"
+
+
+def test_main_write_error_removes_the_run_files(tmp_path, capsys, monkeypatch):
+    # the second records file fails mid-write: exit 2, and neither the
+    # first pair of files nor any temporary file is left behind
+    original = cli._write_records_csv
+    calls = []
+
+    def failing(f, rows):
+        calls.append(f)
+        if len(calls) == 2:
+            f.write("seed,timestep\n")
+            raise OSError("No space left on device")
+        original(f, rows)
+
+    monkeypatch.setattr(cli, "_write_records_csv", failing)
+    config_path = _write_config(tmp_path, TINY)
+    out = tmp_path / "run"
+    rc = main(["--config", config_path, "--strategies", "bc", "--seeds", "1",
+               "--kappa0", "0.8,1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert os.listdir(out) == []
 
 
 def test_main_end_to_end(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cfmatch import simulation
-from cfmatch import (ScenarioConfig, draw_demands, run_episode, summarize,
+from cfmatch import (ScenarioConfig, draw_demands, run_episode, run_sweep, summarize,
                      substream, generate_layout, step_mobility,
                      realize_channels, EvalContext, get_strategy,
                      MetricsRecord, GameCounters)
@@ -104,6 +105,23 @@ def test_run_episode_frees_each_step_before_the_next(monkeypatch):
     monkeypatch.setattr(simulation, "EvalContext", build)
     run_episode(_tiny_config(num_steps=3), ["ea", "da"])
     assert len(drawn) == len(built) == 3
+
+
+def test_run_sweep_equals_run_episode_per_threshold():
+    cfg = _tiny_config(num_steps=3, demand_set=(5e6, 100e6))
+    thresholds = [0.3, 0.8, 1.0]
+    strategies = ["da", "ea", "bc", "md"]
+    for k0, records in zip(thresholds, run_sweep(cfg, strategies, thresholds)):
+        expected = run_episode(replace(cfg, satisfaction_threshold=k0), strategies)
+        assert len(records) == len(expected)
+        for rec, exp in zip(records, expected):
+            assert (rec.timestep, rec.strategy) == (exp.timestep, exp.strategy)
+            np.testing.assert_array_equal(rec.kappa, exp.kappa)
+            np.testing.assert_array_equal(rec.per_ue_rate, exp.per_ue_rate)
+            assert rec.satisfied_count == exp.satisfied_count
+            assert rec.association_count == exp.association_count
+            assert rec.counters == exp.counters
+            assert rec.quota_violation == exp.quota_violation
 
 
 def test_run_episode_rejects_unknown_strategy():
