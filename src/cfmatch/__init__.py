@@ -4,10 +4,7 @@ in downlink cell-free MIMO networks."""
 from .channel import (ScenarioConfig, Layout, ChannelRealization,
                       generate_layout, step_mobility, path_gain,
                       draw_shadowing, realize_channels)
-from .evaluate import (Matching, NetworkEvaluation, EvalContext,
-                       lmmse_beamformer, equal_power_allocation,
-                       compute_beamformers, received_power,
-                       interference_power, evaluate_network, as_eval_context)
+from .evaluate import Matching, NetworkEvaluation, EvalContext
 from .matching import (PreferenceState, UEPartition, GameCounters,
                        build_preferences, associate, ea_initial_association,
                        is_favorable_pair, cluster_evolution, ea_m2m)
@@ -23,9 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ScenarioConfig", "Layout", "ChannelRealization", "generate_layout",
     "step_mobility", "path_gain", "draw_shadowing", "realize_channels",
-    "Matching", "NetworkEvaluation", "EvalContext", "lmmse_beamformer",
-    "equal_power_allocation", "compute_beamformers", "received_power",
-    "interference_power", "evaluate_network", "as_eval_context",
+    "Matching", "NetworkEvaluation", "EvalContext",
     "PreferenceState", "UEPartition", "GameCounters", "build_preferences",
     "associate", "ea_initial_association", "is_favorable_pair",
     "cluster_evolution", "ea_m2m",

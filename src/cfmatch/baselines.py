@@ -1,9 +1,9 @@
 """Reference clustering schemes and the strategy registry.
 
-All strategies share one signature: (channels, demands, config) ->
-(Matching, GameCounters), where channels may be a ChannelRealization or
-a prebuilt EvalContext.  Schemes that ignore quotas (best-channel,
-min-distance, all-active, gain-threshold) report zeroed counters.
+All strategies share one signature: (ctx, demands, config) ->
+(Matching, GameCounters), where ctx is the EvalContext of one channel
+realization.  Schemes that ignore quotas (best-channel, min-distance,
+all-active, gain-threshold) report zeroed counters.
 """
 
 from __future__ import annotations
@@ -11,33 +11,32 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ScenarioConfig
-from .evaluate import SCREEN_MARGIN, Matching, as_eval_context
-from .matching import GameCounters, ea_m2m
+from .evaluate import SCREEN_MARGIN, EvalContext, Matching
+from .matching import GameCounters, build_preferences, ea_m2m
 
 
-def best_channel(channels, demands, config: ScenarioConfig) -> Matching:
+def best_channel(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
     """Each UE takes the single AP with the largest gain (ties: lower index)."""
-    gains = as_eval_context(channels, config).channels.gains
+    gains = ctx.channels.gains
     assoc = np.zeros(gains.shape, dtype=bool)
     assoc[np.arange(gains.shape[0]), np.argmax(gains, axis=1)] = True
     return Matching.from_assoc(assoc)
 
 
-def min_distance(channels, demands, config: ScenarioConfig) -> Matching:
+def min_distance(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
     """Each UE takes the single nearest AP (ties: lower index)."""
-    dists = as_eval_context(channels, config).channels.distances
+    dists = ctx.channels.distances
     assoc = np.zeros(dists.shape, dtype=bool)
     assoc[np.arange(dists.shape[0]), np.argmin(dists, axis=1)] = True
     return Matching.from_assoc(assoc)
 
 
-def canonical(channels, demands, config: ScenarioConfig) -> Matching:
+def canonical(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
     """Every AP serves every UE."""
-    ctx = as_eval_context(channels, config)
     return Matching.from_assoc(np.ones((ctx.num_ues, ctx.num_aps), dtype=bool))
 
 
-def gca(channels, demands, config: ScenarioConfig) -> Matching:
+def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
     """Gain-threshold clusters pruned greedily for the worst-UE rate.
 
     Each UE starts with every AP whose gain is within
@@ -50,7 +49,6 @@ def gca(channels, demands, config: ScenarioConfig) -> Matching:
     only the drops that might win are re-scored by the exact evaluator,
     in ascending AP order, which alone decides.
     """
-    ctx = as_eval_context(channels, config)
     gains = ctx.channels.gains
     floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
     assoc = gains >= floor[:, None]
@@ -107,23 +105,20 @@ def _may_win(gain):
     return (gain > -SCREEN_MARGIN) & (gain >= gain.max(initial=-np.inf) - 2 * SCREEN_MARGIN)
 
 
-def da_m2m(channels, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
+def da_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
     """Deferred acceptance: UEs propose in gain order, APs hold the best.
 
     Each round every UE proposes to its next-preferred APs until its
     quota of held offers is full; each AP keeps the best proposals by
     its own gain ranking up to its quota and rejects the rest.  Rounds
     repeat until no UE has anything left to propose; held offers become
-    the matching.
+    the matching.  Both sides rank by build_preferences, as in ea.
     """
-    ctx = as_eval_context(channels, config)
-    gains = ctx.channels.gains
-    num_ues, num_aps = gains.shape
-    ue_prefs = [[int(m) for m in np.argsort(-gains[k], kind="stable")]
-                for k in range(num_ues)]
+    num_ues, num_aps = ctx.num_ues, ctx.num_aps
+    prefs = build_preferences(ctx.channels.gains, config)
+    ue_prefs = prefs.ue_prefs
     # rank[m][k]: position of UE k in AP m's ranking, lower is better
-    rank = [{int(k): pos for pos, k in enumerate(np.argsort(-gains[:, m], kind="stable"))}
-            for m in range(num_aps)]
+    rank = [{k: pos for pos, k in enumerate(ranking)} for ranking in prefs.ap_prefs]
     holding = [[] for _ in range(num_aps)]
     held = [0] * num_ues
     next_idx = [0] * num_ues
@@ -163,7 +158,7 @@ class SwapCapExceeded(RuntimeError):
     """swap_matching committed more swaps than its cap allows."""
 
 
-def swap_matching(matching: Matching, channels, demands, config: ScenarioConfig,
+def swap_matching(matching: Matching, ctx: EvalContext, demands, config: ScenarioConfig,
                   counters: GameCounters) -> Matching:
     """Refine a matching by trading AP pairs between UE pairs.
 
@@ -179,7 +174,6 @@ def swap_matching(matching: Matching, channels, demands, config: ScenarioConfig,
     amplitudes; only those that might pass the rule are re-scored by
     the exact evaluator, in scan order, which alone decides.
     """
-    ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     assoc = matching.assoc.copy()
     num_ues = assoc.shape[0]
@@ -257,35 +251,35 @@ def _accepts(kappa, current, k, k2):
             and ((better_k and no_worse_k2) or (better_k2 and no_worse_k)))
 
 
-def _run_ea(channels, demands, config):
-    matching, _, counters = ea_m2m(channels, demands, config)
+def _run_ea(ctx, demands, config):
+    matching, _, counters = ea_m2m(ctx, demands, config)
     return matching, counters
 
 
-def _run_da(channels, demands, config):
-    return da_m2m(channels, demands, config)
+def _run_da(ctx, demands, config):
+    return da_m2m(ctx, demands, config)
 
 
-def _run_da_smp(channels, demands, config):
-    matching, counters = da_m2m(channels, demands, config)
-    refined = swap_matching(matching, channels, demands, config, counters)
+def _run_da_smp(ctx, demands, config):
+    matching, counters = da_m2m(ctx, demands, config)
+    refined = swap_matching(matching, ctx, demands, config, counters)
     return refined, counters
 
 
-def _run_bc(channels, demands, config):
-    return best_channel(channels, demands, config), GameCounters()
+def _run_bc(ctx, demands, config):
+    return best_channel(ctx, demands, config), GameCounters()
 
 
-def _run_md(channels, demands, config):
-    return min_distance(channels, demands, config), GameCounters()
+def _run_md(ctx, demands, config):
+    return min_distance(ctx, demands, config), GameCounters()
 
 
-def _run_cs(channels, demands, config):
-    return canonical(channels, demands, config), GameCounters()
+def _run_cs(ctx, demands, config):
+    return canonical(ctx, demands, config), GameCounters()
 
 
-def _run_gca(channels, demands, config):
-    return gca(channels, demands, config), GameCounters()
+def _run_gca(ctx, demands, config):
+    return gca(ctx, demands, config), GameCounters()
 
 
 STRATEGIES = {

@@ -1,17 +1,15 @@
 """Beamforming, power sharing and per-UE quality evaluation.
 
-A Matching holds which AP serves which UE in three mutually consistent
-views (a boolean matrix plus per-UE and per-AP lists).  Given a matching
-and a channel realization, the network is scored UE by UE: regularized
-matched-filter beams, equal sharing of each AP's power budget over its
-load, coherent combining of serving APs, and the resulting SINR, rate
-and satisfaction ratio against the UE's demand.
+A Matching is the boolean (K, M) matrix of which AP serves which UE.
+Given a matching and a channel realization, the network is scored UE
+by UE: regularized matched-filter beams, equal sharing of each AP's
+power budget over its load, coherent combining of serving APs, and the
+resulting SINR, rate and satisfaction ratio against the UE's demand.
 
-received_power / interference_power are the transparent per-UE forms.
 EvalContext caches all pairwise channel inner products once per
-realization so that the many candidate matchings probed by the
-association algorithms can be scored with a few vectorized operations;
-both routes compute the same numbers.
+realization, and its evaluate_assoc scores any matching with a few
+vectorized operations; the association algorithms probe many candidate
+matchings through it.
 """
 
 from __future__ import annotations
@@ -36,72 +34,25 @@ CROSS_BLOCK = 16
 
 @dataclass
 class Matching:
-    """UE-AP association pattern.
-
-    assoc:       (K, M) bool, assoc[k, m] is True iff AP m serves UE k.
-    ue_clusters: per-UE list of serving AP indices.
-    ap_loads:    per-AP list of served UE indices.
-    The three views are kept consistent by add/remove.
-    """
+    """UE-AP association pattern: assoc[k, m] is True iff AP m serves UE k."""
 
     assoc: np.ndarray
-    ue_clusters: list[list[int]]
-    ap_loads: list[list[int]]
 
     @classmethod
     def empty(cls, num_ues: int, num_aps: int) -> "Matching":
-        return cls(assoc=np.zeros((num_ues, num_aps), dtype=bool),
-                   ue_clusters=[[] for _ in range(num_ues)],
-                   ap_loads=[[] for _ in range(num_aps)])
+        return cls(assoc=np.zeros((num_ues, num_aps), dtype=bool))
 
     @classmethod
     def from_assoc(cls, assoc: np.ndarray) -> "Matching":
-        assoc = np.asarray(assoc, dtype=bool)
-        ue_clusters = [[int(m) for m in np.flatnonzero(assoc[k])]
-                       for k in range(assoc.shape[0])]
-        ap_loads = [[int(k) for k in np.flatnonzero(assoc[:, m])]
-                    for m in range(assoc.shape[1])]
-        return cls(assoc=assoc, ue_clusters=ue_clusters, ap_loads=ap_loads)
-
-    def copy(self) -> "Matching":
-        return Matching(assoc=self.assoc.copy(),
-                        ue_clusters=[list(c) for c in self.ue_clusters],
-                        ap_loads=[list(l) for l in self.ap_loads])
-
-    def add(self, k: int, m: int) -> None:
-        if self.assoc[k, m]:
-            raise ValueError(f"UE {k} and AP {m} are already associated")
-        self.assoc[k, m] = True
-        self.ue_clusters[k].append(m)
-        self.ap_loads[m].append(k)
-
-    def remove(self, k: int, m: int) -> None:
-        if not self.assoc[k, m]:
-            raise ValueError(f"UE {k} and AP {m} are not associated")
-        self.assoc[k, m] = False
-        self.ue_clusters[k].remove(m)
-        self.ap_loads[m].remove(k)
+        return cls(assoc=np.asarray(assoc, dtype=bool))
 
     def association_count(self) -> int:
         return int(np.count_nonzero(self.assoc))
 
     def quota_violation(self, ap_quota: int, ue_quota: int) -> bool:
         """True if any AP load exceeds ap_quota or any cluster exceeds ue_quota."""
-        return (any(len(l) > ap_quota for l in self.ap_loads)
-                or any(len(c) > ue_quota for c in self.ue_clusters))
-
-    def check_consistent(self) -> None:
-        """Raise ValueError if the three views disagree."""
-        for k, cluster in enumerate(self.ue_clusters):
-            if len(set(cluster)) != len(cluster):
-                raise ValueError(f"duplicate APs in cluster of UE {k}")
-            if set(cluster) != set(int(m) for m in np.flatnonzero(self.assoc[k])):
-                raise ValueError(f"cluster of UE {k} disagrees with matrix")
-        for m, load in enumerate(self.ap_loads):
-            if len(set(load)) != len(load):
-                raise ValueError(f"duplicate UEs in load of AP {m}")
-            if set(load) != set(int(k) for k in np.flatnonzero(self.assoc[:, m])):
-                raise ValueError(f"load of AP {m} disagrees with matrix")
+        return bool((self.assoc.sum(axis=0) > ap_quota).any()
+                    or (self.assoc.sum(axis=1) > ue_quota).any())
 
 
 @dataclass
@@ -117,63 +68,6 @@ class NetworkEvaluation:
     sinr: np.ndarray
     rate: np.ndarray
     kappa: np.ndarray
-
-
-def lmmse_beamformer(h: np.ndarray, noise_var: float) -> np.ndarray:
-    """Regularized matched filter v = h / (||h||^2 + noise_var).
-
-    No unit normalization: the scaling is part of the beamformer.
-    """
-    h = np.asarray(h, dtype=complex)
-    return h / (float(np.real(np.vdot(h, h))) + noise_var)
-
-
-def equal_power_allocation(matching: Matching, max_power: float) -> np.ndarray:
-    """(K, M) power matrix: each AP splits its budget equally over its load.
-
-    Unloaded APs transmit nothing; every loaded AP spends exactly
-    max_power in total.
-    """
-    loads = np.array([len(l) for l in matching.ap_loads], dtype=float)
-    share = np.zeros_like(loads)
-    np.divide(max_power, loads, out=share, where=loads > 0)
-    return matching.assoc * share[None, :]
-
-
-def compute_beamformers(channels: ChannelRealization, matching: Matching,
-                        noise_var: float) -> dict[tuple[int, int], np.ndarray]:
-    """Beamformers for every active (UE, AP) pair of the matching."""
-    beams = {}
-    for k, cluster in enumerate(matching.ue_clusters):
-        for m in cluster:
-            beams[(k, m)] = lmmse_beamformer(channels.vectors[k, m], noise_var)
-    return beams
-
-
-def received_power(k: int, matching: Matching, channels: ChannelRealization,
-                   powers: np.ndarray, beams: dict[tuple[int, int], np.ndarray]) -> float:
-    """Coherent useful power at UE k: |sum over serving APs of
-    sqrt(P) h^H v|^2."""
-    amp = 0.0 + 0.0j
-    for m in matching.ue_clusters[k]:
-        amp += np.sqrt(powers[k, m]) * np.vdot(channels.vectors[k, m], beams[(k, m)])
-    return float(np.abs(amp) ** 2)
-
-
-def interference_power(k: int, matching: Matching, channels: ChannelRealization,
-                       powers: np.ndarray,
-                       beams: dict[tuple[int, int], np.ndarray]) -> float:
-    """Interference at UE k: sum over other UEs j of the coherent power
-    their serving beams leak through k's channel."""
-    total = 0.0
-    for j in range(len(matching.ue_clusters)):
-        if j == k:
-            continue
-        amp = 0.0 + 0.0j
-        for m in matching.ue_clusters[j]:
-            amp += np.sqrt(powers[j, m]) * np.vdot(channels.vectors[k, m], beams[(j, m)])
-        total += float(np.abs(amp) ** 2)
-    return total
 
 
 class EvalContext:
@@ -254,18 +148,3 @@ def _own_mapping(nbytes: int) -> mmap.mmap:
         return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
                          | mmap.MAP_POPULATE)
     return mmap.mmap(-1, nbytes)
-
-
-def as_eval_context(channels, config: ScenarioConfig) -> EvalContext:
-    """Pass an EvalContext through, or build one from a realization."""
-    if isinstance(channels, EvalContext):
-        return channels
-    return EvalContext(channels, config)
-
-
-def evaluate_network(matching: Matching, channels, demands,
-                     config: ScenarioConfig, ctx: EvalContext | None = None) -> NetworkEvaluation:
-    """Score a matching; builds (or reuses) the cached-product context."""
-    if ctx is None:
-        ctx = as_eval_context(channels, config)
-    return ctx.evaluate_assoc(matching.assoc, demands)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ScenarioConfig
-from .evaluate import SCREEN_MARGIN, EvalContext, Matching, as_eval_context
+from .evaluate import SCREEN_MARGIN, EvalContext, Matching
 
 
 @dataclass
@@ -118,7 +118,7 @@ def associate(k: int, m: int, state: PreferenceState, matching: Matching,
         raise ValueError(f"associate({k}, {m}) with exhausted quota")
     if matching.assoc[k, m]:
         raise ValueError(f"associate({k}, {m}) repeated")
-    matching.add(k, m)
+    matching.assoc[k, m] = True
     if m in state.ue_prefs[k]:
         state.ue_prefs[k].remove(m)
     if k in state.ap_prefs[m]:
@@ -208,8 +208,7 @@ def ea_initial_association(state: PreferenceState, config: ScenarioConfig,
 
 
 def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching,
-                      channels, demands, config: ScenarioConfig,
-                      counters: GameCounters,
+                      ctx: EvalContext, demands, counters: GameCounters,
                       current_eval=None, batched=None) -> bool:
     """Test whether adding AP m to UE k's cluster is worth committing.
 
@@ -236,7 +235,6 @@ def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching
             return False
         if _clear_of_ties(trial_kappa, current_kappa, k, served):
             return _favorable(trial_kappa, current_kappa, k, served)
-    ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     if current_eval is None:
         current_eval = ctx.evaluate_assoc(matching.assoc, demands)
@@ -325,7 +323,7 @@ class _GrowingScores:
 
 
 def cluster_evolution(state: PreferenceState, matching: Matching,
-                      partition: UEPartition, channels, demands,
+                      partition: UEPartition, ctx: EvalContext, demands,
                       config: ScenarioConfig, counters: GameCounters,
                       trace: list | None = None) -> tuple[Matching, UEPartition]:
     """Grow clusters of unsettled UEs until no favorable pair remains.
@@ -341,7 +339,6 @@ def cluster_evolution(state: PreferenceState, matching: Matching,
     taken on exact evaluate_assoc values instead.  A UE that reached
     kappa 1 during a round fails its window tests without either.
     """
-    ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     active = partition.associated
     scores = _GrowingScores(ctx, matching, demands)
@@ -366,8 +363,8 @@ def cluster_evolution(state: PreferenceState, matching: Matching,
             if not window:
                 continue
             for m, kappa in zip(window, scores.add_kappa(k, window)):
-                if is_favorable_pair(m, k, state, matching, ctx, demands, config,
-                                     counters, current_eval=scores.exact,
+                if is_favorable_pair(m, k, state, matching, ctx, demands, counters,
+                                     current_eval=scores.exact,
                                      batched=(kappa, scores.kappa,
                                               scores.saturated[k])):
                     associate(k, m, state, matching, counters)
@@ -386,10 +383,9 @@ def cluster_evolution(state: PreferenceState, matching: Matching,
     return matching, partition
 
 
-def ea_m2m(channels, demands, config: ScenarioConfig,
+def ea_m2m(ctx: EvalContext, demands, config: ScenarioConfig,
            trace: list | None = None) -> tuple[Matching, UEPartition, GameCounters]:
     """Full game: preference build, initial association, cluster evolution."""
-    ctx = as_eval_context(channels, config)
     state = build_preferences(ctx.channels.gains, config)
     counters = GameCounters()
     matching, partition, state = ea_initial_association(state, config, counters,

@@ -10,7 +10,7 @@ evaluation per candidate.
 
 import numpy as np
 
-from cfmatch import Matching, as_eval_context, associate
+from cfmatch import Matching, associate
 
 
 def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands):
@@ -62,14 +62,13 @@ def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands)
     return {"power": power, "sinr": sinr, "rate": rate, "kappa": kappa}
 
 
-def reference_swap_matching(matching, channels, demands, config, counters):
+def reference_swap_matching(matching, ctx, demands, config, counters):
     """swap_matching with one full evaluate_assoc per trial trade.
 
     Same rule, scan order, restart and cap as the package's scan, with
     no screening, so any trade the screen wrongly drops shows up as a
     different result.
     """
-    ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     assoc = matching.assoc.copy()
     num_ues = assoc.shape[0]
@@ -110,13 +109,12 @@ def reference_swap_matching(matching, channels, demands, config, counters):
     return Matching.from_assoc(assoc)
 
 
-def reference_gca(channels, demands, config):
+def reference_gca(ctx, demands, config):
     """gca with one full evaluate_assoc per candidate drop.
 
     Same seeding, rule, tie-break and running minimum as the package's
     loop, with no screening; returns the final association matrix.
     """
-    ctx = as_eval_context(channels, config)
     gains = ctx.channels.gains
     floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
     assoc = gains >= floor[:, None]
@@ -143,7 +141,7 @@ def reference_gca(channels, demands, config):
     return assoc
 
 
-def reference_cluster_evolution(state, matching, partition, channels, demands,
+def reference_cluster_evolution(state, matching, partition, ctx, demands,
                                 config, counters, trace=None):
     """cluster_evolution with one full evaluate_assoc per favorable test.
 
@@ -153,7 +151,6 @@ def reference_cluster_evolution(state, matching, partition, channels, demands,
     any decision the batched scores take wrongly shows up as a
     different result.
     """
-    ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     active = partition.associated
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from cfmatch import (ChannelRealization, ScenarioConfig, Matching, EvalContext,
-                     build_preferences, associate, as_eval_context,
+                     build_preferences, associate,
                      generate_layout, realize_channels, draw_demands, substream)
 
 
@@ -72,12 +72,13 @@ def check_partition(partition, num_ues):
 
 
 def check_matching_valid(matching, config):
-    """Definition-level validity: consistent views, quotas respected."""
-    matching.check_consistent()
+    """Definition-level validity: a (K, M) boolean matrix within quotas."""
+    assert matching.assoc.dtype == bool
+    assert matching.assoc.shape == (config.num_ues, config.num_aps)
     assert not matching.quota_violation(config.ap_quota, config.ue_quota)
 
 
-def replay_ea_trace(channels, demands, config, trace, final_assoc):
+def replay_ea_trace(ctx, demands, config, trace, final_assoc):
     """Re-derive the game from its commit trace, asserting the
     favorable-pair rule at every evolution commit.
 
@@ -86,7 +87,6 @@ def replay_ea_trace(channels, demands, config, trace, final_assoc):
     summed satisfaction over UEs served at commit time did not drop.
     The replayed matching must equal the game's final matching.
     """
-    ctx = as_eval_context(channels, config)
     demands = np.asarray(demands, dtype=float)
     state = build_preferences(ctx.channels.gains, config)
     matching = Matching.empty(ctx.num_ues, ctx.num_aps)

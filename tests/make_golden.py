@@ -37,7 +37,7 @@ EA_THRESHOLDS = (0.5, 1.0)
 
 
 def seeded_steps(num_ues, num_aps, seed):
-    """(timestep, config, context, demands) of each step of a seeded
+    """(step label, config, context, demands) of each step of a seeded
     episode, drawn as run_sweep draws them."""
     cfg = ScenarioConfig(num_ues=num_ues, num_aps=num_aps, num_steps=NUM_STEPS,
                          seed=seed)
@@ -49,7 +49,7 @@ def seeded_steps(num_ues, num_aps, seed):
         ch = realize_channels(layout, cfg, substream(seed, "shadowing", t),
                               substream(seed, "fading", t))
         demands = draw_demands(cfg, substream(seed, "demands", t))
-        yield t, cfg, EvalContext(ch, cfg), demands
+        yield f"step{t}", cfg, EvalContext(ch, cfg), demands
 
 
 def tie_scene(name):
@@ -93,8 +93,7 @@ def scene_steps(label):
         return [("step1", *tie_scene(label))]
     size, seed = label.split("-seed")
     num_ues, num_aps = (int(n) for n in size.split("x"))
-    return [(f"step{t}", cfg, ctx, demands)
-            for t, cfg, ctx, demands in seeded_steps(num_ues, num_aps, int(seed))]
+    return list(seeded_steps(num_ues, num_aps, int(seed)))
 
 
 def entry(matching, counters) -> dict:

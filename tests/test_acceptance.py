@@ -5,9 +5,8 @@ machine-greppable PASS/FAIL line."""
 import numpy as np
 import pytest
 
-from cfmatch import (ScenarioConfig, Matching, run_episode, summarize,
-                     evaluate_network, ea_m2m, da_m2m, swap_matching,
-                     cmd_run, RunSpec)
+from cfmatch import (ScenarioConfig, EvalContext, run_episode, summarize,
+                     ea_m2m, da_m2m, swap_matching, cmd_run, RunSpec)
 
 from bruteforce import reference_evaluate
 from helpers import (small_config, random_channels, random_demands,
@@ -94,29 +93,26 @@ def test_05_constraint_suite():
                           ap_quota=int(rng.integers(1, num_ues + 1)),
                           ue_quota=int(rng.integers(1, num_aps + 1)),
                           noise_var=10.0 ** rng.uniform(-8, -4))
-        ch = random_channels(rng, num_ues, num_aps, int(rng.integers(1, 3)))
+        ctx = EvalContext(random_channels(rng, num_ues, num_aps,
+                                          int(rng.integers(1, 3))), cfg)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
         matchings = {}
-        matchings["ea"], _, _ = ea_m2m(ch, demands, cfg)
-        da, counters = da_m2m(ch, demands, cfg)
+        matchings["ea"], _, _ = ea_m2m(ctx, demands, cfg)
+        da, counters = da_m2m(ctx, demands, cfg)
         matchings["da"] = da
-        matchings["da-smp"] = swap_matching(da, ch, demands, cfg, counters)
+        matchings["da-smp"] = swap_matching(da, ctx, demands, cfg, counters)
         for m in matchings.values():
-            ev = evaluate_network(m, ch, demands, cfg)
-            binary = np.isin(m.assoc, [False, True]).all()
+            ev = ctx.evaluate_assoc(m.assoc, demands)
+            binary = (m.assoc.dtype == bool
+                      and m.assoc.shape == (num_ues, num_aps))
             nonneg = (ev.power >= 0).all()
             sums = ev.power.sum(axis=0)
             loaded = m.assoc.any(axis=0)
             budget = (np.allclose(sums[loaded], cfg.max_power, rtol=1e-12)
                       and not sums[~loaded].any())
-            quotas = (all(len(l) <= cfg.ap_quota for l in m.ap_loads)
-                      and all(len(c) <= cfg.ue_quota for c in m.ue_clusters))
-            try:
-                m.check_consistent()
-                symmetric = True
-            except ValueError:
-                symmetric = False
-            ok = ok and binary and nonneg and budget and quotas and symmetric
+            quotas = ((m.assoc.sum(axis=0) <= cfg.ap_quota).all()
+                      and (m.assoc.sum(axis=1) <= cfg.ue_quota).all())
+            ok = ok and binary and nonneg and budget and quotas
             checked += 1
     _report(5, "constraint suite on randomized instances",
             ok, f"{checked} matchings over 1000 instances")
@@ -135,12 +131,12 @@ def test_06_favorable_pair_soundness():
                           ue_quota=int(rng.integers(1, num_aps + 1)),
                           noise_var=10.0 ** rng.uniform(-8, -5),
                           satisfaction_threshold=float(rng.choice([0.8, 0.9, 1.0])))
-        ch = random_channels(rng, num_ues, num_aps, 1)
+        ctx = EvalContext(random_channels(rng, num_ues, num_aps, 1), cfg)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
         trace = []
-        m, _, _ = ea_m2m(ch, demands, cfg, trace=trace)
+        m, _, _ = ea_m2m(ctx, demands, cfg, trace=trace)
         try:
-            commits += replay_ea_trace(ch, demands, cfg, trace, m.assoc)
+            commits += replay_ea_trace(ctx, demands, cfg, trace, m.assoc)
         except AssertionError:
             ok = False
             break
@@ -163,7 +159,7 @@ def test_07_oracle_equivalence():
         ch = random_channels(rng, num_ues, num_aps, n_ant)
         assoc = rng.random((num_ues, num_aps)) < 0.5
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        ev = evaluate_network(Matching.from_assoc(assoc), ch, demands, cfg)
+        ev = EvalContext(ch, cfg).evaluate_assoc(assoc, demands)
         ref = reference_evaluate(ch.vectors, assoc, cfg.max_power,
                                  cfg.noise_var, cfg.bandwidth, demands)
         for got, want in ((ev.sinr, ref["sinr"]), (ev.rate, ref["rate"]),
@@ -198,10 +194,10 @@ def test_08_counter_bounds(full_runs):
                           ap_quota=int(rng.integers(1, num_ues + 1)),
                           ue_quota=int(rng.integers(1, num_aps + 1)),
                           noise_var=1e-6)
-        ch = random_channels(rng, num_ues, num_aps, 1)
+        ctx = EvalContext(random_channels(rng, num_ues, num_aps, 1), cfg)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        m, counters = da_m2m(ch, demands, cfg)
-        swap_matching(m, ch, demands, cfg, counters)  # raises if cap exceeded
+        m, counters = da_m2m(ctx, demands, cfg)
+        swap_matching(m, ctx, demands, cfg, counters)  # raises if cap exceeded
         cap = cfg.ue_quota * num_ues ** 2
         ok = ok and counters.swap_count <= cap
         max_swaps = max(max_swaps, counters.swap_count)

@@ -5,8 +5,7 @@ import pytest
 
 from cfmatch import (ScenarioConfig, Matching, best_channel, min_distance,
                      canonical, gca, da_m2m, swap_matching, STRATEGIES,
-                     get_strategy, evaluate_network, as_eval_context,
-                     GameCounters, ChannelRealization, EvalContext)
+                     get_strategy, GameCounters, ChannelRealization, EvalContext)
 from cfmatch import baselines
 from cfmatch.baselines import SCREEN_MARGIN, _drop_min_se, _pair_trades
 
@@ -26,7 +25,7 @@ def test_best_channel_picks_argmax():
                             vectors=np.sqrt(gains)[:, :, None].astype(complex),
                             distances=np.ones_like(gains))
     cfg = small_config(3, 2)
-    m = best_channel(ch, _demands(2), cfg)
+    m = best_channel(EvalContext(ch, cfg), _demands(2), cfg)
     expected = np.array([[False, True, False],
                          [True, False, False]])  # tie at 0.7 -> lower index
     np.testing.assert_array_equal(m.assoc, expected)
@@ -40,7 +39,7 @@ def test_min_distance_picks_nearest():
                             vectors=np.sqrt(gains)[:, :, None].astype(complex),
                             distances=dists)
     cfg = small_config(2, 2)
-    m = min_distance(ch, _demands(2), cfg)
+    m = min_distance(EvalContext(ch, cfg), _demands(2), cfg)
     np.testing.assert_array_equal(m.assoc, np.eye(2, dtype=bool))
 
 
@@ -53,19 +52,20 @@ def test_distance_and_gain_orders_can_differ():
                             vectors=np.sqrt(gains)[:, :, None].astype(complex),
                             distances=dists)
     cfg = small_config(2, 1)
-    bc = best_channel(ch, _demands(1), cfg)
-    md = min_distance(ch, _demands(1), cfg)
-    assert bc.ue_clusters[0] == [1]
-    assert md.ue_clusters[0] == [0]
+    ctx = EvalContext(ch, cfg)
+    bc = best_channel(ctx, _demands(1), cfg)
+    md = min_distance(ctx, _demands(1), cfg)
+    np.testing.assert_array_equal(bc.assoc, [[False, True]])
+    np.testing.assert_array_equal(md.assoc, [[True, False]])
 
 
 def test_canonical_all_pairs():
     cfg = small_config(4, 3)
     ch = random_channels(np.random.default_rng(1), 3, 4, 1)
-    m = canonical(ch, _demands(3), cfg)
+    m = canonical(EvalContext(ch, cfg), _demands(3), cfg)
     assert m.association_count() == 12
-    assert all(len(l) == 3 for l in m.ap_loads)
-    assert all(len(c) == 4 for c in m.ue_clusters)
+    assert (m.assoc.sum(axis=0) == 3).all()
+    assert (m.assoc.sum(axis=1) == 4).all()
 
 
 def test_gca_threshold_window():
@@ -76,23 +76,24 @@ def test_gca_threshold_window():
                             vectors=np.sqrt(gains)[:, :, None].astype(complex),
                             distances=np.ones_like(gains))
     cfg = small_config(3, 2, noise_var=1e-2)  # noise high: no pruning gain
-    m = gca(ch, _demands(2), cfg)
-    assert m.ue_clusters[0] == [0, 1]   # 0.9e-9 is below 1e-6/1000
-    assert m.ue_clusters[1] == [0, 1]
+    m = gca(EvalContext(ch, cfg), _demands(2), cfg)
+    # 0.9e-9 is below 1e-6/1000
+    np.testing.assert_array_equal(m.assoc, [[True, True, False], [True, True, False]])
 
 
 def test_gca_infinite_window_is_canonical():
     cfg = small_config(3, 2, power_diff_threshold=float("inf"))
     ch = random_channels(np.random.default_rng(3), 2, 3, 1)
-    m = gca(ch, _demands(2), cfg)
+    m = gca(EvalContext(ch, cfg), _demands(2), cfg)
     assert m.association_count() == 6
 
 
 def test_gca_zero_window_is_best_channel():
     cfg = small_config(4, 3, power_diff_threshold=0.0, noise_var=1e-2)
     ch = random_channels(np.random.default_rng(4), 3, 4, 1)
-    m = gca(ch, _demands(3), cfg)
-    b = best_channel(ch, _demands(3), cfg)
+    ctx = EvalContext(ch, cfg)
+    m = gca(ctx, _demands(3), cfg)
+    b = best_channel(ctx, _demands(3), cfg)
     np.testing.assert_array_equal(m.assoc, b.assoc)
 
 
@@ -106,7 +107,7 @@ def _gca_pruning_instance():
         demands = _demands(2)
         floor = ch.gains.max(axis=1) / 10.0 ** (cfg.power_diff_threshold / 10.0)
         assoc = ch.gains >= floor[:, None]
-        ctx = as_eval_context(ch, cfg)
+        ctx = EvalContext(ch, cfg)
 
         def worst_se(a):
             ev = ctx.evaluate_assoc(a, demands)
@@ -129,13 +130,13 @@ def _gca_pruning_instance():
         second = [worst_se(np.where(np.arange(3)[None, :] == m2, False, pruned))
                   for m2 in np.flatnonzero(pruned.any(axis=0))]
         if all(v <= base2 for v in second):
-            return ch, cfg, demands, pruned
+            return ctx, cfg, demands, pruned
     raise AssertionError("search found no single-prune instance")
 
 
 def test_gca_prunes_harmful_ap():
-    ch, cfg, demands, expected = _gca_pruning_instance()
-    m = gca(ch, demands, cfg)
+    ctx, cfg, demands, expected = _gca_pruning_instance()
+    m = gca(ctx, demands, cfg)
     np.testing.assert_array_equal(m.assoc, expected)
 
 
@@ -143,7 +144,7 @@ def test_da_exact_count_at_defaults():
     cfg = ScenarioConfig(seed=0)
     rng = np.random.default_rng(0)
     ch = random_channels(rng, 20, 50, 2)
-    m, counters = da_m2m(ch, random_demands(rng, cfg), cfg)
+    m, counters = da_m2m(EvalContext(ch, cfg), random_demands(rng, cfg), cfg)
     assert m.association_count() == min(50 * 12, 20 * 8) == 160
     check_matching_valid(m, cfg)
     assert counters.da_iterations >= 1
@@ -153,16 +154,16 @@ def test_da_everyone_gets_top_choices_without_contention():
     # AP quota >= K means no rejection: each UE holds its best APs
     cfg = small_config(5, 3, ap_quota=3, ue_quota=2)
     ch = random_channels(np.random.default_rng(6), 3, 5, 1)
-    m, _ = da_m2m(ch, _demands(3), cfg)
+    m, _ = da_m2m(EvalContext(ch, cfg), _demands(3), cfg)
     for k in range(3):
         top2 = list(np.argsort(-ch.gains[k], kind="stable")[:2])
-        assert sorted(m.ue_clusters[k]) == sorted(int(x) for x in top2)
+        assert sorted(np.flatnonzero(m.assoc[k])) == sorted(top2)
 
 
 def test_da_single_pair():
     cfg = small_config(1, 1, ap_quota=1, ue_quota=1)
     ch = random_channels(np.random.default_rng(7), 1, 1, 1)
-    m, _ = da_m2m(ch, _demands(1), cfg)
+    m, _ = da_m2m(EvalContext(ch, cfg), _demands(1), cfg)
     assert m.association_count() == 1
 
 
@@ -175,7 +176,7 @@ def test_da_respects_quotas_randomized():
                           ap_quota=int(rng.integers(1, num_ues + 1)),
                           ue_quota=int(rng.integers(1, num_aps + 1)))
         ch = random_channels(rng, num_ues, num_aps, 1)
-        m, _ = da_m2m(ch, _demands(num_ues), cfg)
+        m, _ = da_m2m(EvalContext(ch, cfg), _demands(num_ues), cfg)
         check_matching_valid(m, cfg)
         # with full-length lists the count hits the quota bound exactly
         assert m.association_count() == min(num_aps * cfg.ap_quota,
@@ -189,7 +190,7 @@ def test_swap_fixed_point_on_symmetric_instance():
     cfg = small_config(2, 2, ap_quota=1, ue_quota=1, noise_var=1e-9)
     m = Matching.from_assoc(np.eye(2, dtype=bool))
     counters = GameCounters()
-    out = swap_matching(m, ch, _demands(2, 1e9), cfg, counters)
+    out = swap_matching(m, EvalContext(ch, cfg), _demands(2, 1e9), cfg, counters)
     np.testing.assert_array_equal(out.assoc, m.assoc)
     assert counters.swap_count == 0
 
@@ -206,10 +207,11 @@ def test_swap_crosses_misassigned_pairs():
     cfg = small_config(2, 2, ap_quota=1, ue_quota=1, noise_var=1e-9)
     demands = _demands(2, 1e9)
     start = Matching.from_assoc(np.eye(2, dtype=bool))
-    before = evaluate_network(start, ch, demands, cfg)
+    ctx = EvalContext(ch, cfg)
+    before = ctx.evaluate_assoc(start.assoc, demands)
     counters = GameCounters()
-    out = swap_matching(start, ch, demands, cfg, counters)
-    after = evaluate_network(out, ch, demands, cfg)
+    out = swap_matching(start, ctx, demands, cfg, counters)
+    after = ctx.evaluate_assoc(out.assoc, demands)
     np.testing.assert_array_equal(out.assoc,
                                   np.array([[False, True], [True, False]]))
     assert counters.swap_count == 1
@@ -227,16 +229,17 @@ def test_swap_preserves_structure_and_sum():
                           ue_quota=int(rng.integers(1, num_aps + 1)),
                           noise_var=1e-7)
         ch = random_channels(rng, num_ues, num_aps, 1)
-        m, counters = da_m2m(ch, _demands(num_ues, 1e8), cfg)
+        ctx = EvalContext(ch, cfg)
+        m, counters = da_m2m(ctx, _demands(num_ues, 1e8), cfg)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        before = evaluate_network(m, ch, demands, cfg)
-        out = swap_matching(m, ch, demands, cfg, counters)
-        after = evaluate_network(out, ch, demands, cfg)
+        before = ctx.evaluate_assoc(m.assoc, demands)
+        out = swap_matching(m, ctx, demands, cfg, counters)
+        after = ctx.evaluate_assoc(out.assoc, demands)
         assert after.kappa.sum() >= before.kappa.sum()
         assert counters.swap_count <= cfg.ue_quota * num_ues ** 2
         # swaps trade APs one-for-one: every load and cluster size kept
-        assert [len(l) for l in out.ap_loads] == [len(l) for l in m.ap_loads]
-        assert [len(c) for c in out.ue_clusters] == [len(c) for c in m.ue_clusters]
+        np.testing.assert_array_equal(out.assoc.sum(axis=0), m.assoc.sum(axis=0))
+        np.testing.assert_array_equal(out.assoc.sum(axis=1), m.assoc.sum(axis=1))
         check_matching_valid(out, cfg)
 
 
@@ -422,11 +425,12 @@ def test_registry_uniform_signature():
     rng = np.random.default_rng(12)
     ch = random_channels(rng, 2, 3, 1)
     demands = _demands(2)
+    ctx = EvalContext(ch, cfg)
     for name in STRATEGIES:
-        matching, counters = get_strategy(name)(ch, demands, cfg)
+        matching, counters = get_strategy(name)(ctx, demands, cfg)
         assert isinstance(matching, Matching)
         assert isinstance(counters, GameCounters)
-        matching.check_consistent()
+        assert matching.assoc.dtype == bool and matching.assoc.shape == (2, 3)
 
 
 @pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (10, 25)])

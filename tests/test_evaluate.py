@@ -1,42 +1,59 @@
 import numpy as np
 import pytest
 
-from cfmatch import (Matching, lmmse_beamformer, equal_power_allocation,
-                     compute_beamformers, received_power, interference_power,
-                     evaluate_network, EvalContext, as_eval_context)
+from cfmatch import ChannelRealization, EvalContext, Matching
 
 from bruteforce import reference_evaluate
 from helpers import small_config, random_channels, channels_from_vectors
 
 
+def _evaluate(vectors, assoc, noise_var, max_power=0.2, demands=None):
+    """evaluate_assoc of assoc on explicit (K, M, N) channel vectors."""
+    ch = channels_from_vectors(vectors)
+    num_ues, num_aps, n_ant = ch.vectors.shape
+    cfg = small_config(num_aps, num_ues, antennas_per_ap=n_ant,
+                       noise_var=noise_var, max_power=max_power)
+    if demands is None:
+        demands = np.full(num_ues, 1e6)
+    return EvalContext(ch, cfg).evaluate_assoc(np.asarray(assoc, dtype=bool), demands)
+
+
 def test_beamformer_unit_scalar():
-    v = lmmse_beamformer(np.array([1.0 + 0j]), 0.0)
-    np.testing.assert_allclose(v, [1.0 + 0j])
+    # v = h / (|h|^2 + noise) = 1 / (1 + noise): amplitude sqrt(P) / (1 + noise)
+    ev = _evaluate([[[1.0 + 0j]]], [[True]], noise_var=0.5)
+    assert ev.sinr[0] == pytest.approx(0.2 / 1.5 ** 2 / 0.5, rel=1e-12)
 
 
 def test_beamformer_zero_channel():
-    v = lmmse_beamformer(np.zeros(3, dtype=complex), 1.0)
-    np.testing.assert_array_equal(v, np.zeros(3, dtype=complex))
+    ch = ChannelRealization(gains=np.zeros((1, 1)), distances=np.ones((1, 1)),
+                            vectors=np.zeros((1, 1, 3), dtype=complex))
+    ctx = EvalContext(ch, small_config(1, 1, antennas_per_ap=3, noise_var=1.0))
+    ev = ctx.evaluate_assoc([[True]], [1e6])
+    assert ev.sinr[0] == 0.0
+    assert ev.rate[0] == 0.0
+    assert ev.kappa[0] == 0.0
 
 
 def test_beamformer_closed_form():
-    h = np.array([1.0, 1.0j])
-    np.testing.assert_allclose(lmmse_beamformer(h, 1.0), h / 3.0)
+    # h = (1, j), noise 1: v = h / 3, so h^H v = 2 / 3
+    ev = _evaluate([[[1.0, 1.0j]]], [[True]], noise_var=1.0)
+    assert ev.sinr[0] == pytest.approx(0.2 * (2.0 / 3.0) ** 2 / 1.0, rel=1e-12)
 
 
 def test_beamformer_no_normalization():
-    # the regularized scaling is part of the beamformer: ||v|| < 1 for
-    # any positive noise, approaching ||h||^-1 only as noise vanishes
-    h = np.array([3.0 + 4.0j])
-    v = lmmse_beamformer(h, 2.0)
-    np.testing.assert_allclose(v, h / 27.0)
+    # the regularized scaling is part of the beamformer: h^H v is
+    # 25 / 27 with |h|^2 = 25 and noise 2, where a unit-norm matched
+    # filter would give |h| = 5
+    ev = _evaluate([[[3.0 + 4.0j]]], [[True]], noise_var=2.0)
+    assert ev.sinr[0] == pytest.approx(0.2 * (25.0 / 27.0) ** 2 / 2.0, rel=1e-12)
 
 
 def test_equal_power_split():
-    m = Matching.empty(4, 2)
-    for k in range(4):
-        m.add(k, 0)
-    p = equal_power_allocation(m, 0.2)
+    assoc = np.zeros((4, 2), dtype=bool)
+    assoc[:, 0] = True
+    ctx = EvalContext(random_channels(np.random.default_rng(2), 4, 2, 1),
+                      small_config(2, 4))
+    p = ctx.evaluate_assoc(assoc, np.full(4, 1e6)).power
     np.testing.assert_allclose(p[:, 0], 0.05)
     np.testing.assert_array_equal(p[:, 1], 0.0)
     assert p[:, 0].sum() == pytest.approx(0.2, rel=1e-12)
@@ -45,10 +62,11 @@ def test_equal_power_split():
 def test_equal_power_sums_are_budget_or_zero():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        num_ues, num_aps = rng.integers(1, 7, size=2)
+        num_ues, num_aps = (int(n) for n in rng.integers(1, 7, size=2))
         assoc = rng.random((num_ues, num_aps)) < 0.4
-        m = Matching.from_assoc(assoc)
-        p = equal_power_allocation(m, 0.2)
+        ctx = EvalContext(random_channels(rng, num_ues, num_aps, 1),
+                          small_config(num_aps, num_ues))
+        p = ctx.evaluate_assoc(assoc, np.full(num_ues, 1e6)).power
         assert (p >= 0).all()
         sums = p.sum(axis=0)
         loaded = assoc.any(axis=0)
@@ -56,91 +74,68 @@ def test_equal_power_sums_are_budget_or_zero():
         np.testing.assert_array_equal(sums[~loaded], 0.0)
 
 
-def _one_pair_instance(hval, noise_var, power):
-    vectors = np.array([[[hval]]], dtype=complex)
-    ch = channels_from_vectors(vectors)
-    m = Matching.from_assoc(np.array([[True]]))
-    powers = np.array([[power]])
-    beams = compute_beamformers(ch, m, noise_var)
-    return ch, m, powers, beams
-
-
 def test_received_power_empty_cluster():
-    ch = random_channels(np.random.default_rng(1), 2, 2, 1)
-    m = Matching.empty(2, 2)
-    m.add(1, 0)
-    beams = compute_beamformers(ch, m, 1e-5)
-    powers = equal_power_allocation(m, 0.2)
-    assert received_power(0, m, ch, powers, beams) == 0.0
+    vectors = random_channels(np.random.default_rng(1), 2, 2, 1).vectors
+    ev = _evaluate(vectors, [[False, False], [True, False]], noise_var=1e-5)
+    assert ev.sinr[0] == 0.0
 
 
 def test_received_power_single_ap_closed_form():
-    ch, m, powers, beams = _one_pair_instance(2.0 + 0j, 1.0, 0.5)
-    # |sqrt(P) h^H h / (|h|^2 + s)|^2 with |h|^2 = 4
-    expected = 0.5 * (4.0 / 5.0) ** 2
-    assert received_power(0, m, ch, powers, beams) == pytest.approx(expected)
+    # |sqrt(P) h^H h / (|h|^2 + s)|^2 with |h|^2 = 4, s = 1, P = 0.5
+    ev = _evaluate([[[2.0 + 0j]]], [[True]], noise_var=1.0, max_power=0.5)
+    assert ev.sinr[0] == pytest.approx(0.5 * (4.0 / 5.0) ** 2 / 1.0, rel=1e-12)
 
 
 def test_received_power_coherent_combining():
     # two APs with identical channels and powers: amplitudes add, so the
-    # received power quadruples relative to one AP
+    # received power, and with no interference the SINR, quadruples
     h = 1.5 - 0.5j
-    vectors = np.array([[[h], [h]]], dtype=complex)
-    ch = channels_from_vectors(vectors)
-    noise = 0.3
-    single = Matching.from_assoc(np.array([[True, False]]))
-    both = Matching.from_assoc(np.array([[True, True]]))
-    powers_single = np.array([[0.2, 0.0]])
-    powers_both = np.array([[0.2, 0.2]])
-    s1 = received_power(0, single, ch, powers_single,
-                        compute_beamformers(ch, single, noise))
-    s2 = received_power(0, both, ch, powers_both,
-                        compute_beamformers(ch, both, noise))
-    assert s2 == pytest.approx(4.0 * s1)
+    vectors = [[[h], [h]]]
+    single = _evaluate(vectors, [[True, False]], noise_var=0.3)
+    both = _evaluate(vectors, [[True, True]], noise_var=0.3)
+    assert both.sinr[0] == pytest.approx(4.0 * single.sinr[0], rel=1e-12)
 
 
 def test_interference_zero_without_other_ues():
-    ch, m, powers, beams = _one_pair_instance(1.0 + 1j, 0.5, 0.2)
-    assert interference_power(0, m, ch, powers, beams) == 0.0
+    # UE 1 is unserved, so it sends no beam and UE 0 sees only noise
+    vectors = [[[1.0 + 1j]], [[0.5 - 2j]]]
+    ev = _evaluate(vectors, [[True], [False]], noise_var=0.5)
+    alone = _evaluate(vectors[:1], [[True]], noise_var=0.5)
+    assert ev.sinr[0] == alone.sinr[0]
+    assert ev.sinr[0] == pytest.approx(0.2 * (2.0 / 2.5) ** 2 / 0.5, rel=1e-12)
 
 
 def test_interference_closed_form_two_ues():
     # both UEs on the single AP; the beam toward UE 1 leaks through
     # UE 0's channel
     h0, h1 = 1.0 + 0j, 0.5 - 0.5j
-    vectors = np.array([[[h0]], [[h1]]], dtype=complex)
-    ch = channels_from_vectors(vectors)
     noise = 0.1
-    m = Matching.from_assoc(np.array([[True], [True]]))
-    powers = equal_power_allocation(m, 0.2)
-    beams = compute_beamformers(ch, m, noise)
+    ev = _evaluate([[[h0]], [[h1]]], [[True], [True]], noise_var=noise)
+    signal = 0.1 * (abs(h0) ** 2 / (abs(h0) ** 2 + noise)) ** 2
     leak = np.conj(h0) * h1 / (abs(h1) ** 2 + noise)
-    expected = abs(np.sqrt(0.1) * leak) ** 2
-    assert interference_power(0, m, ch, powers, beams) == pytest.approx(expected)
+    interference = abs(np.sqrt(0.1) * leak) ** 2
+    assert ev.sinr[0] == pytest.approx(signal / (interference + noise), rel=1e-12)
 
 
 def test_evaluate_unserved_ue_scores_zero():
     cfg = small_config(2, 2, noise_var=1e-5)
     ch = random_channels(np.random.default_rng(3), 2, 2, 1)
-    m = Matching.empty(2, 2)
-    m.add(0, 0)
-    ev = evaluate_network(m, ch, [1e6, 1e6], cfg)
+    ev = EvalContext(ch, cfg).evaluate_assoc([[True, False], [False, False]],
+                                             [1e6, 1e6])
     assert ev.sinr[1] == 0.0
     assert ev.rate[1] == 0.0
     assert ev.kappa[1] == 0.0
 
 
 def test_evaluate_kappa_clamped_to_one():
-    cfg = small_config(1, 1, noise_var=1e-9, bandwidth=20e6)
-    vectors = np.full((1, 1, 1), 1e-3 + 0j)
-    ch = channels_from_vectors(vectors)
-    m = Matching.from_assoc(np.array([[True]]))
-    ev = evaluate_network(m, ch, [1.0], cfg)  # 1 bit/s demand
+    ev = _evaluate(np.full((1, 1, 1), 1e-3 + 0j), [[True]], noise_var=1e-9,
+                   demands=[1.0])  # 1 bit/s demand
     assert ev.kappa[0] == 1.0
 
 
 def test_evaluate_matches_transparent_route():
-    # the cached-product fast path and the per-UE loop forms must agree
+    # the cached-product path and the per-element loops of the reference
+    # agree over a range of noise levels, power matrix included
     rng = np.random.default_rng(42)
     for _ in range(40):
         num_ues = int(rng.integers(1, 5))
@@ -150,17 +145,12 @@ def test_evaluate_matches_transparent_route():
                           noise_var=10.0 ** rng.uniform(-6, -1))
         ch = random_channels(rng, num_ues, num_aps, n_ant)
         assoc = rng.random((num_ues, num_aps)) < 0.5
-        m = Matching.from_assoc(assoc)
         demands = rng.choice([5e6, 30e6, 100e6], size=num_ues)
-        ev = evaluate_network(m, ch, demands, cfg)
-        powers = equal_power_allocation(m, cfg.max_power)
-        np.testing.assert_allclose(ev.power, powers, rtol=1e-12)
-        beams = compute_beamformers(ch, m, cfg.noise_var)
-        for k in range(num_ues):
-            s = received_power(k, m, ch, powers, beams)
-            i = interference_power(k, m, ch, powers, beams)
-            sinr = s / (i + cfg.noise_var)
-            assert ev.sinr[k] == pytest.approx(sinr, rel=1e-10, abs=1e-30)
+        ev = EvalContext(ch, cfg).evaluate_assoc(assoc, demands)
+        ref = reference_evaluate(ch.vectors, assoc, cfg.max_power,
+                                 cfg.noise_var, cfg.bandwidth, demands)
+        np.testing.assert_allclose(ev.power, ref["power"], rtol=1e-12)
+        np.testing.assert_allclose(ev.sinr, ref["sinr"], rtol=1e-10, atol=1e-30)
 
 
 def test_evaluate_matches_bruteforce_reference():
@@ -173,7 +163,7 @@ def test_evaluate_matches_bruteforce_reference():
         ch = random_channels(rng, num_ues, num_aps, n_ant)
         assoc = rng.random((num_ues, num_aps)) < 0.5
         demands = rng.choice([5e6, 30e6, 100e6], size=num_ues)
-        ev = evaluate_network(Matching.from_assoc(assoc), ch, demands, cfg)
+        ev = EvalContext(ch, cfg).evaluate_assoc(assoc, demands)
         ref = reference_evaluate(ch.vectors, assoc, cfg.max_power,
                                  cfg.noise_var, cfg.bandwidth, demands)
         np.testing.assert_allclose(ev.sinr, ref["sinr"], rtol=1e-10, atol=1e-30)
@@ -196,65 +186,23 @@ def test_context_blocked_build_equals_one_shot_einsum(num_ues):
 
 def test_new_interferer_never_helps():
     # interference adds one |.|^2 term per interfering UE, so serving a
-    # previously idle UE (with k's own cluster and powers held fixed)
-    # can only raise k's interference; note the beams of ONE interferer
-    # combine coherently, so growing an existing interferer's cluster
-    # may cancel and is not monotone
+    # previously idle UE from a previously idle AP (every other power
+    # share held fixed) can only lower the others' SINR; note the beams
+    # of ONE interferer combine coherently, so growing an existing
+    # interferer's cluster may cancel and is not monotone
     rng = np.random.default_rng(11)
     for _ in range(30):
-        ch = random_channels(rng, 3, 4, 2)
-        noise = 1e-4
-        base = Matching.empty(3, 4)
-        base.add(0, 0)
-        base.add(1, 1)
-        powers = np.zeros((3, 4))
-        powers[0, 0] = 0.2
-        powers[1, 1] = 0.2
-        beams = compute_beamformers(ch, base, noise)
-        i_before = interference_power(0, base, ch, powers, beams)
+        ctx = EvalContext(random_channels(rng, 3, 4, 2),
+                          small_config(4, 3, antennas_per_ap=2, noise_var=1e-4))
+        base = np.zeros((3, 4), dtype=bool)
+        base[0, 0] = base[1, 1] = True
         grown = base.copy()
-        grown.add(2, 2)  # UE 2 was unserved, AP 2 idle: no share changes
-        powers2 = powers.copy()
-        powers2[2, 2] = 0.2
-        beams2 = compute_beamformers(ch, grown, noise)
-        i_after = interference_power(0, grown, ch, powers2, beams2)
-        assert i_after >= i_before
-        s = received_power(0, base, ch, powers, beams)
-        assert s == received_power(0, grown, ch, powers2, beams2)
-
-
-def test_matching_views_stay_consistent():
-    rng = np.random.default_rng(5)
-    m = Matching.empty(4, 5)
-    added = set()
-    for _ in range(40):
-        k = int(rng.integers(4))
-        a = int(rng.integers(5))
-        if (k, a) in added:
-            m.remove(k, a)
-            added.discard((k, a))
-        else:
-            m.add(k, a)
-            added.add((k, a))
-        m.check_consistent()
-    assert m.association_count() == len(added)
-
-
-def test_matching_add_remove_contract_errors():
-    m = Matching.empty(2, 2)
-    m.add(0, 1)
-    with pytest.raises(ValueError):
-        m.add(0, 1)
-    with pytest.raises(ValueError):
-        m.remove(1, 1)
-
-
-def test_matching_check_consistent_catches_corruption():
-    m = Matching.empty(2, 2)
-    m.add(0, 0)
-    m.ue_clusters[0].append(1)  # matrix not updated
-    with pytest.raises(ValueError):
-        m.check_consistent()
+        grown[2, 2] = True  # UE 2 was unserved, AP 2 idle: no share changes
+        demands = np.full(3, 1e6)
+        before = ctx.evaluate_assoc(base, demands)
+        after = ctx.evaluate_assoc(grown, demands)
+        assert (after.sinr[:2] <= before.sinr[:2]).all()
+        np.testing.assert_array_equal(after.power[:2], before.power[:2])
 
 
 def test_quota_violation_flag():
@@ -263,9 +211,16 @@ def test_quota_violation_flag():
     assert not m.quota_violation(ap_quota=3, ue_quota=2)
 
 
-def test_as_eval_context_passthrough():
-    cfg = small_config(2, 2)
-    ch = random_channels(np.random.default_rng(9), 2, 2, 1)
-    ctx = EvalContext(ch, cfg)
-    assert as_eval_context(ctx, cfg) is ctx
-    assert as_eval_context(ch, cfg).channels is ch
+def test_quota_violation_ap_side_only():
+    # AP 0 serves three UEs, each UE has one AP
+    m = Matching.from_assoc([[True, False], [True, False], [True, False]])
+    assert m.quota_violation(ap_quota=2, ue_quota=1)
+    assert not m.quota_violation(ap_quota=3, ue_quota=1)
+
+
+def test_quota_violation_ue_side_only():
+    # UE 0 holds three APs, each AP serves one UE
+    m = Matching.from_assoc([[True, True, True], [False, False, False]])
+    assert m.quota_violation(ap_quota=1, ue_quota=2)
+    assert not m.quota_violation(ap_quota=1, ue_quota=3)
+    assert m.association_count() == 3

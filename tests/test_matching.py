@@ -5,8 +5,8 @@ import pytest
 
 from cfmatch import (Matching, build_preferences, associate,
                      ea_initial_association, is_favorable_pair,
-                     cluster_evolution, ea_m2m, evaluate_network,
-                     as_eval_context, GameCounters, UEPartition, EvalContext)
+                     cluster_evolution, ea_m2m, get_strategy, STRATEGIES,
+                     GameCounters, UEPartition, EvalContext)
 from cfmatch import matching as matching_module
 from cfmatch.matching import _GrowingScores
 
@@ -163,16 +163,14 @@ def test_initial_association_single_ap_per_ue():
         ch = random_channels(rng, num_ues, num_aps, 1)
         state = build_preferences(ch.gains, cfg)
         m, part, state = ea_initial_association(state, cfg)
-        assert all(len(c) <= 1 for c in m.ue_clusters)
+        assert (m.assoc.sum(axis=1) <= 1).all()
         assert part.rejected == set()
         assert part.satisfied == set() and part.unsatisfied == set()
         check_partition(part, num_ues)
         check_matching_valid(m, cfg)
         # remaining quotas track cluster sizes exactly
-        for k in range(num_ues):
-            assert state.ue_quota[k] == cfg.ue_quota - len(m.ue_clusters[k])
-        for a in range(num_aps):
-            assert state.ap_quota[a] == cfg.ap_quota - len(m.ap_loads[a])
+        assert state.ue_quota == list(cfg.ue_quota - m.assoc.sum(axis=1))
+        assert state.ap_quota == list(cfg.ap_quota - m.assoc.sum(axis=0))
 
 
 def _favorable_fixture():
@@ -184,14 +182,14 @@ def _favorable_fixture():
     state = build_preferences(ch.gains, cfg)
     m = Matching.empty(1, 2)
     associate(0, 0, state, m)
-    return ch, cfg, state, m
+    return EvalContext(ch, cfg), cfg, state, m
 
 
 def test_favorable_pair_accepts_clean_improvement():
-    ch, cfg, state, m = _favorable_fixture()
+    ctx, cfg, state, m = _favorable_fixture()
     demands = np.array([1e9])  # far beyond one AP's rate
     counters = GameCounters()
-    assert is_favorable_pair(1, 0, state, m, ch, demands, cfg, counters)
+    assert is_favorable_pair(1, 0, state, m, ctx, demands, counters)
     assert counters.favorable_tests == 1
 
 
@@ -209,17 +207,17 @@ def test_favorable_pair_rejects_outside_window():
     counters = GameCounters()
     demands = np.array([1e12, 1e12])
     assert state.ap_prefs[1] == [1, 0]
-    assert not is_favorable_pair(1, 0, state, m, ch, demands, cfg, counters)
+    assert not is_favorable_pair(1, 0, state, m, EvalContext(ch, cfg), demands, counters)
     assert counters.favorable_tests == 1
 
 
 def test_favorable_pair_requires_strict_gain():
-    ch, cfg, state, m = _favorable_fixture()
+    ctx, cfg, state, m = _favorable_fixture()
     demands = np.array([1.0])  # already fully satisfied: kappa == 1
     counters = GameCounters()
-    ev = evaluate_network(m, ch, demands, cfg)
+    ev = ctx.evaluate_assoc(m.assoc, demands)
     assert ev.kappa[0] == 1.0
-    assert not is_favorable_pair(1, 0, state, m, ch, demands, cfg, counters)
+    assert not is_favorable_pair(1, 0, state, m, ctx, demands, counters)
 
 
 def _interference_tradeoff_instance():
@@ -243,18 +241,19 @@ def _interference_tradeoff_instance():
         assoc[1, 1] = True
         grown = assoc.copy()
         grown[0, 2] = True
-        before = as_eval_context(ch, cfg).evaluate_assoc(assoc, demands)
-        after = as_eval_context(ch, cfg).evaluate_assoc(grown, demands)
+        ctx = EvalContext(ch, cfg)
+        before = ctx.evaluate_assoc(assoc, demands)
+        after = ctx.evaluate_assoc(grown, demands)
         if (after.kappa[0] > before.kappa[0]
                 and after.kappa.sum() < before.kappa.sum()
                 and before.kappa[1] < 1.0):
-            return ch, cfg, demands, assoc
+            return ctx, cfg, demands, assoc
     raise AssertionError("search found no trade-off instance")
 
 
 def test_favorable_pair_sum_guard_rejects():
-    ch, cfg, demands, assoc = _interference_tradeoff_instance()
-    state = build_preferences(ch.gains, cfg)
+    ctx, cfg, demands, assoc = _interference_tradeoff_instance()
+    state = build_preferences(ctx.channels.gains, cfg)
     m = Matching.empty(2, 3)
     associate(0, 0, state, m)
     associate(1, 1, state, m)
@@ -262,7 +261,7 @@ def test_favorable_pair_sum_guard_rejects():
     counters = GameCounters()
     # UE 0's own satisfaction would strictly rise, yet the pair is
     # rejected because the network sum would drop
-    assert not is_favorable_pair(2, 0, state, m, ch, demands, cfg, counters)
+    assert not is_favorable_pair(2, 0, state, m, ctx, demands, counters)
 
 
 def test_evolution_all_satisfied_adds_nothing():
@@ -275,19 +274,20 @@ def test_evolution_all_satisfied_adds_nothing():
     part = UEPartition(associated={0})
     demands = np.array([1.0])
     counters = GameCounters()
-    m, part = cluster_evolution(state, m, part, ch, demands, cfg, counters)
+    m, part = cluster_evolution(state, m, part, EvalContext(ch, cfg), demands, cfg,
+                                counters)
     assert part.satisfied == {0}
     assert m.association_count() == 1
     assert counters.favorable_tests == 0
 
 
 def test_evolution_adds_favorable_ap_then_settles():
-    ch, cfg, state, m = _favorable_fixture()
+    ctx, cfg, state, m = _favorable_fixture()
     part = UEPartition(associated={0})
     demands = np.array([1e9])
     counters = GameCounters()
     trace = []
-    m, part = cluster_evolution(state, m, part, ch, demands, cfg, counters,
+    m, part = cluster_evolution(state, m, part, ctx, demands, cfg, counters,
                                 trace=trace)
     assert ("evolve", 0, 1) in trace
     assert m.assoc[0, 1]
@@ -298,8 +298,8 @@ def test_evolution_adds_favorable_ap_then_settles():
 
 
 def test_evolution_no_favorable_pair_leaves_unsatisfied():
-    ch, cfg, demands, assoc = _interference_tradeoff_instance()
-    state = build_preferences(ch.gains, cfg)
+    ctx, cfg, demands, assoc = _interference_tradeoff_instance()
+    state = build_preferences(ctx.channels.gains, cfg)
     m = Matching.empty(2, 3)
     associate(0, 0, state, m)
     associate(1, 1, state, m)
@@ -308,9 +308,9 @@ def test_evolution_no_favorable_pair_leaves_unsatisfied():
     # treatment by dropping its remaining candidates
     part = UEPartition(associated={0, 1})
     counters = GameCounters()
-    before = evaluate_network(m, ch, demands, cfg)
-    m, part = cluster_evolution(state, m, part, ch, demands, cfg, counters)
-    after = evaluate_network(m, ch, demands, cfg)
+    before = ctx.evaluate_assoc(m.assoc, demands)
+    m, part = cluster_evolution(state, m, part, ctx, demands, cfg, counters)
+    after = ctx.evaluate_assoc(m.assoc, demands)
     check_partition(part, 2)
     assert part.associated == set()
     # nobody may end up worse than where evolution started
@@ -327,7 +327,8 @@ def test_evolution_satisfaction_classified_before_scanning():
     associate(0, 0, state, m)
     part = UEPartition(associated={0})
     counters = GameCounters()
-    m, part = cluster_evolution(state, m, part, ch, np.array([1.0]), cfg, counters)
+    m, part = cluster_evolution(state, m, part, EvalContext(ch, cfg), np.array([1.0]),
+                                cfg, counters)
     assert part.satisfied == {0}
     assert counters.favorable_tests == 0
 
@@ -338,11 +339,11 @@ def test_ea_m2m_respects_quotas_at_scale():
     rng = np.random.default_rng(2)
     ch = random_channels(rng, 20, 50, 4)
     demands = random_demands(rng, cfg)
-    m, part, counters = ea_m2m(ch, demands, cfg)
+    m, part, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
     check_matching_valid(m, cfg)
     check_partition(part, 20)
-    assert all(len(l) <= 12 for l in m.ap_loads)
-    assert all(len(c) <= 8 for c in m.ue_clusters)
+    assert (m.assoc.sum(axis=0) <= 12).all()
+    assert (m.assoc.sum(axis=1) <= 8).all()
     assert m.association_count() <= min(50 * 12, 20 * 8)
 
 
@@ -358,7 +359,7 @@ def test_ea_m2m_randomized_structure():
                           satisfaction_threshold=float(rng.choice([0.8, 0.9, 1.0])))
         ch = random_channels(rng, num_ues, num_aps, int(rng.integers(1, 3)))
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        m, part, counters = ea_m2m(ch, demands, cfg)
+        m, part, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
         check_matching_valid(m, cfg)
         check_partition(part, num_ues)
         assert part.rejected == set() and part.associated == set()
@@ -369,10 +370,11 @@ def test_ea_m2m_randomized_structure():
         # a UE settles as satisfied at its classification moment; later
         # commits by others may dip it again, so only structural facts
         # are checked on the final matching
+        cluster_sizes = m.assoc.sum(axis=1)
         for k in part.unassociated:
-            assert len(m.ue_clusters[k]) == 0
+            assert cluster_sizes[k] == 0
         for k in part.satisfied | part.unsatisfied:
-            assert len(m.ue_clusters[k]) >= 1
+            assert cluster_sizes[k] >= 1
 
 
 def test_ea_m2m_trace_replay_validates_commits():
@@ -388,18 +390,23 @@ def test_ea_m2m_trace_replay_validates_commits():
         ch = random_channels(rng, num_ues, num_aps, 1)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
         trace = []
-        m, part, counters = ea_m2m(ch, demands, cfg, trace=trace)
-        total_commits += replay_ea_trace(ch, demands, cfg, trace, m.assoc)
+        ctx = EvalContext(ch, cfg)
+        m, part, counters = ea_m2m(ctx, demands, cfg, trace=trace)
+        total_commits += replay_ea_trace(ctx, demands, cfg, trace, m.assoc)
     assert total_commits > 0  # the loop actually exercised evolution
 
 
 def test_ea_m2m_accepts_prebuilt_context():
+    # a context every strategy has already run on gives ea the matching
+    # of a fresh one: strategies leave a shared context as they found it
     cfg = small_config(3, 2)
     ch = random_channels(np.random.default_rng(8), 2, 3, 2)
     demands = np.array([5e6, 5e6])
-    ctx = as_eval_context(ch, cfg)
-    a, _, _ = ea_m2m(ch, demands, cfg)
-    b, _, _ = ea_m2m(ctx, demands, cfg)
+    shared = EvalContext(ch, cfg)
+    for name in STRATEGIES:
+        get_strategy(name)(shared, demands, cfg)
+    a, _, _ = ea_m2m(EvalContext(ch, cfg), demands, cfg)
+    b, _, _ = ea_m2m(shared, demands, cfg)
     np.testing.assert_array_equal(a.assoc, b.assoc)
 
 

@@ -1,0 +1,117 @@
+"""Property tests of config validation and the CLI's handling of bad
+configs, on generated JSON payloads."""
+
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import assume, event, given, settings, strategies as st
+
+from cfmatch import ScenarioConfig, load_config, main
+
+FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+
+# Bounded and reproducible: the same examples on every run, none saved.
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3), max_leaves=6)
+
+
+def _near(default):
+    """Values of the default's type around the valid range of a field."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-1, 60)
+    if isinstance(default, float):
+        return st.floats(-1.0, 1e3) | st.integers(0, 100)
+    if isinstance(default, tuple):
+        return st.lists(st.floats(0.5, 1e3), min_size=1, max_size=3)
+    return st.sampled_from(["step", "episode"])
+
+
+DEFAULTS = ScenarioConfig()
+
+
+def _entry(name):
+    """(key, value) of a config field, or of an unknown key for None."""
+    if name is None:
+        return st.tuples(st.text(min_size=1, max_size=8), ANY_JSON)
+    near = _near(getattr(DEFAULTS, name))
+    # three to one for values of the field's own type
+    return st.tuples(st.just(name), st.one_of(near, near, near, ANY_JSON))
+
+
+ENTRIES = st.sampled_from(FIELDS + [None]).flatmap(_entry)
+PAYLOADS = st.lists(ENTRIES, max_size=4).map(dict)
+
+
+def _load(tmp, text):
+    """load_config of a file in tmp holding text."""
+    path = os.path.join(tmp, "config.json")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    return load_config(path)
+
+
+def _rejected(tmp, key, value) -> bool:
+    """Whether a config holding only key = value is rejected; a
+    rejection must name key."""
+    try:
+        _load(tmp, json.dumps({key: value}))
+    except ValueError as exc:
+        assert key in str(exc), f"error for {key!r} does not name it: {exc}"
+        return True
+    return False
+
+
+@PROPERTY_SETTINGS
+@given(PAYLOADS)
+def test_config_round_trips_or_names_a_bad_field(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = {key for key, value in payload.items() if _rejected(tmp, key, value)}
+        try:
+            cfg = _load(tmp, json.dumps(payload))
+        except ValueError as exc:
+            event("rejected")
+            assert bad, f"valid fields rejected: {exc}"
+            assert any(key in str(exc) for key in bad), str(exc)
+            return
+        event("valid")
+        assert not bad
+        for key, value in payload.items():
+            assert getattr(cfg, key) == (tuple(value) if isinstance(value, list) else value)
+        assert _load(tmp, json.dumps(dataclasses.asdict(cfg))) == cfg
+
+
+BAD_TEXT = (st.text(max_size=20)
+            | PAYLOADS.map(json.dumps)
+            | ANY_JSON.map(json.dumps))
+
+
+@PROPERTY_SETTINGS
+@given(BAD_TEXT)
+def test_main_exits_2_on_a_bad_config_and_writes_nothing(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            _load(tmp, text)
+        except ValueError:
+            pass
+        else:
+            assume(False)  # a valid config: not this property's input
+        out = os.path.join(tmp, "run")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["--config", os.path.join(tmp, "config.json"),
+                       "--strategies", "bc", "--seeds", "1", "--out", out])
+        assert rc == 2
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+        assert not os.path.exists(out)
