@@ -117,8 +117,12 @@ def da_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching,
     num_ues, num_aps = ctx.num_ues, ctx.num_aps
     prefs = build_preferences(ctx.channels.gains, config)
     ue_prefs = prefs.ue_prefs
-    # rank[m][k]: position of UE k in AP m's ranking, lower is better
-    rank = [{k: pos for pos, k in enumerate(ranking)} for ranking in prefs.ap_prefs]
+    # rank[m][k]: position of UE k in AP m's ranking, lower is better;
+    # rows go back to lists because the sort key looks up one UE at a time
+    order = np.array(prefs.ap_prefs)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(num_ues), axis=1)
+    rank = rank.tolist()
     holding = [[] for _ in range(num_aps)]
     held = [0] * num_ues
     next_idx = [0] * num_ues
@@ -141,7 +145,7 @@ def da_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching,
             if not proposals[m]:
                 continue
             pool = holding[m] + proposals[m]
-            pool.sort(key=lambda k: rank[m][k])
+            pool.sort(key=rank[m].__getitem__)
             holding[m] = pool[:config.ap_quota]
         held = [0] * num_ues
         for m in range(num_aps):

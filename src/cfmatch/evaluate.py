@@ -7,9 +7,10 @@ power budget over its load, coherent combining of serving APs, and the
 resulting SINR, rate and satisfaction ratio against the UE's demand.
 
 EvalContext caches all pairwise channel inner products once per
-realization, and its evaluate_assoc scores any matching with a few
-vectorized operations; the association algorithms probe many candidate
-matchings through it.
+realization, AP by AP as Gram matrices from batched BLAS matmuls, and
+its evaluate_assoc scores any matching with a few vectorized
+operations; the association algorithms probe many candidate matchings
+through it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .channel import ChannelRealization, ScenarioConfig
 # looser than an exact rule never decides a candidate the other way.
 SCREEN_MARGIN = 1e-9
 
-# UE rows of cross that one einsum writes straight into the cache: bounds
-# the conjugated copy of the channels to this many rows instead of all K.
-CROSS_BLOCK = 16
+# APs whose Gram matrices one batched matmul computes before they are
+# copied into the cache: bounds the reused (AP_BLOCK, K, K) buffer and
+# the conjugated channel block to a few APs instead of all M.
+AP_BLOCK = 4
 
 
 @dataclass
@@ -76,6 +78,10 @@ class EvalContext:
     cross[k, j, m] = h_{k,m}^H h_{j,m}; with the regularized matched
     filter every per-UE amplitude is a weighted row sum of cross, so a
     candidate association matrix is scored in a couple of dense ops.
+    Slice cross[:, :, m] is the Gram matrix H_m^H H_m of AP m's (N, K)
+    channel block; AP_BLOCK of them come from one batched matmul (zgemm)
+    and are copied into the (K, K, M) layout that evaluate_assoc's
+    einsum reads fastest.  norm2 is the real diagonal of cross.
     """
 
     def __init__(self, channels: ChannelRealization, config: ScenarioConfig):
@@ -85,9 +91,12 @@ class EvalContext:
         shape = (num_ues, num_ues, h.shape[1])
         self.cross = np.frombuffer(_own_mapping(16 * math.prod(shape)),
                                    dtype=complex).reshape(shape)
-        for i in range(0, num_ues, CROSS_BLOCK):
-            np.einsum("kmn,jmn->kjm", h[i:i + CROSS_BLOCK].conj(), h,
-                      out=self.cross[i:i + CROSS_BLOCK])
+        gram = np.empty((AP_BLOCK, num_ues, num_ues), dtype=complex)
+        for i in range(0, h.shape[1], AP_BLOCK):
+            block = h[:, i:i + AP_BLOCK].swapaxes(0, 1)  # (B, K, N)
+            b = block.shape[0]
+            np.matmul(block.conj(), block.swapaxes(1, 2), out=gram[:b])
+            self.cross[:, :, i:i + b] = gram[:b].transpose(1, 2, 0)
         ues = np.arange(num_ues)
         self.norm2 = self.cross[ues, ues].real.copy()
         self.inv_denom = 1.0 / (self.norm2 + config.noise_var)
@@ -137,11 +146,13 @@ class EvalContext:
 def _own_mapping(nbytes: int) -> mmap.mmap:
     """Zeroed memory of its own, unmapped when the last array over it goes.
 
-    The cross cache is by far a step's largest array.  Taken from
-    malloc's heap, its slot is easily split by small allocations that
-    outlive the step, and the next step then grows the heap by a whole
-    cache (+9.7 MB peak RSS at K=70, M=140), so it gets its own mapping
-    instead.
+    The cross cache is by far a step's largest array (11 MB at K=70,
+    M=140).  Taken from malloc's heap, its slot can be split by small
+    allocations that outlive the step, and the next step then grows the
+    heap by a whole cache: +9.7 MB peak RSS at that size when 0.57 MB
+    conjugated channel rows were the build's temporaries.  So it gets
+    its own mapping instead, at 3-5 ms per step to map and populate,
+    about a quarter of the 15-17 ms build.
     """
     if hasattr(mmap, "MAP_POPULATE"):
         # Linux: map every page in one call rather than fault them singly

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import cfmatch
 from cfmatch import ChannelRealization, EvalContext, Matching
+from cfmatch.evaluate import AP_BLOCK
 
 from bruteforce import reference_evaluate
 from helpers import small_config, random_channels, channels_from_vectors
@@ -173,15 +181,59 @@ def test_evaluate_matches_bruteforce_reference():
 
 @pytest.mark.parametrize("num_ues", [1, 15, 16, 17, 33, 40])
 def test_context_blocked_build_equals_one_shot_einsum(num_ues):
-    # the cache is filled a block of UE rows at a time; each entry is the
-    # same antenna sum, so the result must match bit for bit
+    # the cache is filled a block of APs at a time, slice m by one batched
+    # matmul; each slice must be the unblocked Gram matrix h_m^H h_m bit
+    # for bit, and the one-shot einsum up to summation order
     rng = np.random.default_rng(num_ues)
     num_aps, n_ant = 9, 3
+    assert num_aps % AP_BLOCK != 0  # a short last block is exercised
     ch = random_channels(rng, num_ues, num_aps, n_ant)
     ctx = EvalContext(ch, small_config(num_aps, num_ues, antennas_per_ap=n_ant))
     h = ch.vectors
-    np.testing.assert_array_equal(ctx.cross, np.einsum("kmn,jmn->kjm", h.conj(), h))
-    np.testing.assert_array_equal(ctx.norm2, np.real(np.einsum("kmn,kmn->km", h.conj(), h)))
+    for m in range(num_aps):
+        np.testing.assert_array_equal(ctx.cross[:, :, m], np.matmul(h[:, m].conj(), h[:, m].T))
+    einsum = np.einsum("kmn,jmn->kjm", h.conj(), h)
+    assert np.abs(ctx.cross - einsum).max() <= 1e-15 * np.abs(einsum).max()
+    ues = np.arange(num_ues)
+    np.testing.assert_array_equal(ctx.norm2, ctx.cross[ues, ues].real)
+
+
+def test_context_build_memory_is_a_few_ap_blocks():
+    # the cache has its own mapping, so tracemalloc sees only the build's
+    # temporaries; a whole-array conjugate of the channels would be 2x this
+    rng = np.random.default_rng(3)
+    num_ues, num_aps, n_ant = 40, 80, 16
+    ch = random_channels(rng, num_ues, num_aps, n_ant)
+    cfg = small_config(num_aps, num_ues, antennas_per_ap=n_ant)
+    tracemalloc.start()
+    try:
+        EvalContext(ch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ch.vectors.nbytes / 2
+
+
+_CROSS_DIGEST = """
+import hashlib
+from helpers import seeded_scene
+ctx = seeded_scene(70, 140, 0)[1]
+print(hashlib.sha256(ctx.cross.tobytes()).hexdigest())
+"""
+
+
+def test_context_cross_is_independent_of_blas_threads():
+    # the CLI leaves BLAS threading to the environment, so the cache, and
+    # with it every matching, must not depend on the thread count
+    paths = [str(Path(cfmatch.__file__).parents[1]), str(Path(__file__).parent)]
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(paths))
+        out = subprocess.run([sys.executable, "-c", _CROSS_DIGEST], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 def test_new_interferer_never_helps():
