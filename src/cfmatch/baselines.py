@@ -116,46 +116,33 @@ def da_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching,
     """
     num_ues, num_aps = ctx.num_ues, ctx.num_aps
     prefs = build_preferences(ctx.channels.gains, config)
-    ue_prefs = prefs.ue_prefs
-    # rank[m][k]: position of UE k in AP m's ranking, lower is better;
-    # rows go back to lists because the sort key looks up one UE at a time
-    order = np.array(prefs.ap_prefs)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(num_ues), axis=1)
-    rank = rank.tolist()
-    holding = [[] for _ in range(num_aps)]
-    held = [0] * num_ues
-    next_idx = [0] * num_ues
+    # place[k, m]: position of AP m in UE k's list; rank[k, m]: position
+    # of UE k in AP m's list; lower is better on both sides
+    place = _positions(np.array(prefs.ue_prefs))
+    rank = _positions(np.array(prefs.ap_prefs)).T
+    held = np.zeros((num_ues, num_aps), dtype=bool)
+    proposed = np.zeros(num_ues, dtype=int)
     counters = GameCounters()
 
     while True:
-        proposals = [[] for _ in range(num_aps)]
-        proposed_any = False
-        for k in range(num_ues):
-            want = config.ue_quota - held[k]
-            while want > 0 and next_idx[k] < len(ue_prefs[k]):
-                proposals[ue_prefs[k][next_idx[k]]].append(k)
-                next_idx[k] += 1
-                want -= 1
-                proposed_any = True
-        if not proposed_any:
+        want = np.minimum(config.ue_quota - held.sum(axis=1), num_aps - proposed)
+        if not want.any():
             break
         counters.da_iterations += 1
-        for m in range(num_aps):
-            if not proposals[m]:
-                continue
-            pool = holding[m] + proposals[m]
-            pool.sort(key=rank[m].__getitem__)
-            holding[m] = pool[:config.ap_quota]
-        held = [0] * num_ues
-        for m in range(num_aps):
-            for k in holding[m]:
-                held[k] += 1
+        held |= (place >= proposed[:, None]) & (place < (proposed + want)[:, None])
+        proposed += want
+        if config.ap_quota < num_ues:
+            ranked = np.where(held, rank, num_ues)
+            worst_kept = np.partition(ranked, config.ap_quota - 1, axis=0)[config.ap_quota - 1]
+            held &= ranked <= worst_kept
+    return Matching.from_assoc(held), counters
 
-    assoc = np.zeros((num_ues, num_aps), dtype=bool)
-    for m in range(num_aps):
-        assoc[holding[m], m] = True
-    return Matching.from_assoc(assoc), counters
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    """Inverse of each row's permutation: out[i, order[i, p]] = p."""
+    out = np.empty_like(order)
+    np.put_along_axis(out, order, np.arange(order.shape[1])[None, :], axis=1)
+    return out
 
 
 class SwapCapExceeded(RuntimeError):
@@ -190,7 +177,7 @@ def swap_matching(matching: Matching, ctx: EvalContext, demands, config: Scenari
         for k in range(num_ues):
             for k2 in range(k + 1, num_ues):
                 gives, takes, kappa = _pair_trades(ctx, assoc, weight, amp, demands, k, k2)
-                for t in np.flatnonzero(_may_accept(kappa, current.kappa, k, k2)):
+                for t in np.flatnonzero(_accepts(kappa, current.kappa, k, k2, SCREEN_MARGIN)):
                     trial = assoc.copy()
                     trial[k, gives[t]] = False
                     trial[k2, takes[t]] = False
@@ -232,27 +219,19 @@ def _pair_trades(ctx, assoc, weight, amp, demands, k, k2):
     return gives, takes, ctx.score_amplitudes(trial_amp, demands)[2]
 
 
-def _may_accept(kappa, current, k, k2):
-    """Mask of the trades (rows of kappa) that _accepts might take if
-    each batched kappa is within SCREEN_MARGIN of the exact one.  A UE
-    at kappa 1 cannot strictly improve: the clamp is exact."""
-    low = current - SCREEN_MARGIN
-    sum_ok = kappa.sum(axis=1) >= current.sum() - current.size * SCREEN_MARGIN
-    up_k = (current[k] < 1.0) & (kappa[:, k] > low[k])
-    up_k2 = (current[k2] < 1.0) & (kappa[:, k2] > low[k2])
-    return sum_ok & ((up_k & (kappa[:, k2] >= low[k2]))
-                     | (up_k2 & (kappa[:, k] >= low[k])))
-
-
-def _accepts(kappa, current, k, k2):
-    """The swap rule: the kappa sum does not drop, and one of k, k2
-    strictly improves while the other does not lose."""
-    better_k = kappa[k] > current[k]
-    better_k2 = kappa[k2] > current[k2]
-    no_worse_k = kappa[k] >= current[k]
-    no_worse_k2 = kappa[k2] >= current[k2]
-    return (kappa.sum() >= current.sum()
-            and ((better_k and no_worse_k2) or (better_k2 and no_worse_k)))
+def _accepts(kappa, current, k, k2, slack=0.0):
+    """The swap rule on the kappa of one trade or of each row of a (T, K)
+    batch: the kappa sum does not drop, and one of k, k2 strictly
+    improves while the other does not lose.  slack relaxes every
+    comparison by that much per kappa, keeping each trade the exact rule
+    might take on kappa within slack of these; a UE at kappa 1 cannot
+    strictly improve, since the clamp is exact."""
+    low = current - slack
+    sum_ok = kappa.sum(axis=-1) >= current.sum() - current.size * slack
+    up_k = (current[k] < 1.0) & (kappa[..., k] > low[k])
+    up_k2 = (current[k2] < 1.0) & (kappa[..., k2] > low[k2])
+    return sum_ok & ((up_k & (kappa[..., k2] >= low[k2]))
+                     | (up_k2 & (kappa[..., k] >= low[k])))
 
 
 def _run_ea(ctx, demands, config):

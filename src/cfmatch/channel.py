@@ -189,11 +189,11 @@ def draw_shadowing(config: ScenarioConfig, rng: np.random.Generator, size=None):
 
 def realize_channels(layout: Layout, config: ScenarioConfig,
                      rng: np.random.Generator,
-                     fading_rng: np.random.Generator | None = None) -> ChannelRealization:
+                     fading_rng: np.random.Generator) -> ChannelRealization:
     """Draw one full (K, M, N) channel realization for the given layout.
 
-    rng drives shadowing; fading_rng (defaulting to rng) drives the
-    small-scale coefficients, so the two can come from separate streams.
+    rng drives shadowing and fading_rng the small-scale coefficients, so
+    the two come from separate streams.
     Per-antenna coefficients are i.i.d. complex Gaussian with unit
     variance (real and imaginary parts each N(0, 1/2)), scaled by the
     square root of the average gain.
@@ -203,13 +203,12 @@ def realize_channels(layout: Layout, config: ScenarioConfig,
     d = np.maximum(d, MIN_DISTANCE)
     chi = draw_shadowing(config, rng, size=d.shape)
     gains = path_gain(d, config, chi)
-    frng = rng if fading_rng is None else fading_rng
     n = config.antennas_per_ap
     shape = (d.shape[0], d.shape[1], n)
     # filled in place: no (K, M, N) temporaries beside the result
     vectors = np.empty(shape, dtype=complex)
-    vectors.real = frng.standard_normal(shape)
-    vectors.imag = frng.standard_normal(shape)
+    vectors.real = fading_rng.standard_normal(shape)
+    vectors.imag = fading_rng.standard_normal(shape)
     vectors /= np.sqrt(2.0)
     vectors *= np.sqrt(gains)[:, :, None]
     return ChannelRealization(gains=gains, vectors=vectors, distances=d)

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace, fields
+from dataclasses import asdict, dataclass, replace, fields
 
 from .channel import ScenarioConfig
 from .baselines import STRATEGIES, SwapCapExceeded, get_strategy
@@ -160,19 +160,8 @@ def _summary_payload(seed: int, kappa0: float, strategies: list[str],
         "per_strategy": {},
     }
     for name, s in summary.per_strategy.items():
-        payload["per_strategy"][name] = {
-            "timesteps": s.timesteps,
-            "pct_satisfied_mean": s.pct_satisfied_mean,
-            "pct_satisfied_std": s.pct_satisfied_std,
-            "kappa_mean": s.kappa_mean,
-            "kappa_std": s.kappa_std,
-            "associations_mean": s.associations_mean,
-            "associations_std": s.associations_std,
-            "favorable_tests_total": s.favorable_tests_total,
-            "association_ops_total": s.association_ops_total,
-            "swap_count_total": s.swap_count_total,
-            "da_iterations_total": s.da_iterations_total,
-        }
+        payload["per_strategy"][name] = asdict(s)
+        del payload["per_strategy"][name]["strategy"]
     return payload
 
 

@@ -16,8 +16,6 @@ through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
-import mmap
 
 import numpy as np
 
@@ -88,9 +86,8 @@ class EvalContext:
         h = channels.vectors
         num_ues = h.shape[0]
         self.channels = channels
-        shape = (num_ues, num_ues, h.shape[1])
-        self.cross = np.frombuffer(_own_mapping(16 * math.prod(shape)),
-                                   dtype=complex).reshape(shape)
+        # uninitialized: the block loop below writes every AP's slice
+        self.cross = np.empty((num_ues, num_ues, h.shape[1]), dtype=complex)
         gram = np.empty((AP_BLOCK, num_ues, num_ues), dtype=complex)
         for i in range(0, h.shape[1], AP_BLOCK):
             block = h[:, i:i + AP_BLOCK].swapaxes(0, 1)  # (B, K, N)
@@ -142,20 +139,3 @@ class EvalContext:
         kappa = np.minimum(1.0, rate / demands)
         return sinr, rate, kappa
 
-
-def _own_mapping(nbytes: int) -> mmap.mmap:
-    """Zeroed memory of its own, unmapped when the last array over it goes.
-
-    The cross cache is by far a step's largest array (11 MB at K=70,
-    M=140).  Taken from malloc's heap, its slot can be split by small
-    allocations that outlive the step, and the next step then grows the
-    heap by a whole cache: +9.7 MB peak RSS at that size when 0.57 MB
-    conjugated channel rows were the build's temporaries.  So it gets
-    its own mapping instead, at 3-5 ms per step to map and populate,
-    about a quarter of the 15-17 ms build.
-    """
-    if hasattr(mmap, "MAP_POPULATE"):
-        # Linux: map every page in one call rather than fault them singly
-        return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-                         | mmap.MAP_POPULATE)
-    return mmap.mmap(-1, nbytes)

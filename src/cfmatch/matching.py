@@ -233,8 +233,11 @@ def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching
         trial_kappa, current_kappa, saturated = batched
         if saturated:
             return False
-        if _clear_of_ties(trial_kappa, current_kappa, k, served):
-            return _favorable(trial_kappa, current_kappa, k, served)
+        # each batched difference is within 2 * SCREEN_MARGIN of the exact
+        # one, so the exact rule agrees with any verdict both bounds share
+        verdict = _favorable(trial_kappa, current_kappa, k, served, 2 * SCREEN_MARGIN)
+        if verdict == _favorable(trial_kappa, current_kappa, k, served, -2 * SCREEN_MARGIN):
+            return verdict
     demands = np.asarray(demands, dtype=float)
     if current_eval is None:
         current_eval = ctx.evaluate_assoc(matching.assoc, demands)
@@ -246,22 +249,14 @@ def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching
                       k, served)
 
 
-def _favorable(trial, current, k, served) -> bool:
+def _favorable(trial, current, k, served, slack=0.0) -> bool:
     """The favorable-pair rule on the kappa of the trial and the current
-    matching: k strictly improves and the served sum does not drop."""
-    return bool(trial[k] > current[k]
-                and float(trial[served].sum()) >= float(current[served].sum()))
-
-
-def _clear_of_ties(trial, current, k, served) -> bool:
-    """True when kappa values each within SCREEN_MARGIN of the exact
-    ones must give _favorable the exact values' answer: each comparison
-    it needs clears its threshold by more than the summed error."""
-    gain = trial[k] - current[k]
-    change = float(trial[served].sum()) - float(current[served].sum())
-    band = 2 * SCREEN_MARGIN
-    sum_band = trial.size * band
-    return gain < -band or change < -sum_band or (gain > band and change > sum_band)
+    matching: k strictly improves and the served sum does not drop.
+    slack relaxes each comparison by that much per kappa difference; a
+    negative slack tightens it."""
+    return bool(trial[k] > current[k] - slack
+                and float(trial[served].sum())
+                >= float(current[served].sum()) - trial.size * slack)
 
 
 class _GrowingScores:

@@ -5,12 +5,13 @@ vectorization, deliberately sharing no code with the package so the two
 routes can check each other.  reference_swap_matching, reference_gca
 and reference_cluster_evolution are the swap scan, the gca drop loop
 and the ea evolution phase in their plain form: one full exact
-evaluation per candidate.
+evaluation per candidate.  reference_da_m2m is deferred acceptance with
+its held offers in per-AP lists and one proposal at a time.
 """
 
 import numpy as np
 
-from cfmatch import Matching, associate
+from cfmatch import GameCounters, Matching, associate, build_preferences
 
 
 def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands):
@@ -193,3 +194,53 @@ def reference_cluster_evolution(state, matching, partition, ctx, demands,
         partition.unsatisfied.add(k)
     active.clear()
     return matching, partition
+
+
+def reference_da_m2m(ctx, demands, config):
+    """da_m2m with per-AP lists of held offers, one proposal at a time.
+
+    Same rankings, rounds and counters as the package's array version:
+    each AP re-sorts its held and new proposals by its own ranking and
+    keeps the first ap_quota.
+    """
+    num_ues, num_aps = ctx.num_ues, ctx.num_aps
+    prefs = build_preferences(ctx.channels.gains, config)
+    ue_prefs = prefs.ue_prefs
+    # rank[m][k]: position of UE k in AP m's ranking, lower is better
+    order = np.array(prefs.ap_prefs)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(num_ues), axis=1)
+    rank = rank.tolist()
+    holding = [[] for _ in range(num_aps)]
+    held = [0] * num_ues
+    next_idx = [0] * num_ues
+    counters = GameCounters()
+
+    while True:
+        proposals = [[] for _ in range(num_aps)]
+        proposed_any = False
+        for k in range(num_ues):
+            want = config.ue_quota - held[k]
+            while want > 0 and next_idx[k] < len(ue_prefs[k]):
+                proposals[ue_prefs[k][next_idx[k]]].append(k)
+                next_idx[k] += 1
+                want -= 1
+                proposed_any = True
+        if not proposed_any:
+            break
+        counters.da_iterations += 1
+        for m in range(num_aps):
+            if not proposals[m]:
+                continue
+            pool = holding[m] + proposals[m]
+            pool.sort(key=rank[m].__getitem__)
+            holding[m] = pool[:config.ap_quota]
+        held = [0] * num_ues
+        for m in range(num_aps):
+            for k in holding[m]:
+                held[k] += 1
+
+    assoc = np.zeros((num_ues, num_aps), dtype=bool)
+    for m in range(num_aps):
+        assoc[holding[m], m] = True
+    return Matching.from_assoc(assoc), counters

@@ -7,9 +7,9 @@ from cfmatch import (ScenarioConfig, Matching, best_channel, min_distance,
                      canonical, gca, da_m2m, swap_matching, STRATEGIES,
                      get_strategy, GameCounters, ChannelRealization, EvalContext)
 from cfmatch import baselines
-from cfmatch.baselines import SCREEN_MARGIN, _drop_min_se, _pair_trades
+from cfmatch.baselines import SCREEN_MARGIN, _accepts, _drop_min_se, _pair_trades
 
-from bruteforce import reference_gca, reference_swap_matching
+from bruteforce import reference_da_m2m, reference_gca, reference_swap_matching
 from helpers import (small_config, random_channels, channels_from_vectors,
                      random_demands, check_matching_valid, seeded_scene)
 
@@ -183,6 +183,28 @@ def test_da_respects_quotas_randomized():
                                             num_ues * cfg.ue_quota)
 
 
+@pytest.mark.parametrize("num_ues, num_aps, num_seeds", [
+    (5, 8, 40),
+    (10, 25, 20),
+    (20, 50, 10),
+    (70, 140, 2),
+])
+def test_da_matches_reference_loop(num_ues, num_aps, num_seeds):
+    # the array rounds must hold the offers the per-AP lists hold
+    rng = np.random.default_rng(num_ues)
+    for seed in range(600, 600 + num_seeds):
+        # every third scene lifts ap_quota to K or past it (no AP rejects),
+        # every third ue_quota to M or past it (every list in one round)
+        ap_quota = int(rng.integers(1, num_ues + 1)) + (num_ues if seed % 3 == 1 else 0)
+        ue_quota = int(rng.integers(1, num_aps + 1)) + (num_aps if seed % 3 == 2 else 0)
+        cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed,
+                                         ap_quota=ap_quota, ue_quota=ue_quota)
+        out, counters = da_m2m(ctx, demands, cfg)
+        ref, ref_counters = reference_da_m2m(ctx, demands, cfg)
+        np.testing.assert_array_equal(out.assoc, ref.assoc, err_msg=f"seed {seed}")
+        assert counters == ref_counters, f"seed {seed}"
+
+
 def test_swap_fixed_point_on_symmetric_instance():
     h = 1e-4 + 0j
     vectors = np.full((2, 2, 1), h)
@@ -306,6 +328,37 @@ def test_batched_trade_kappa_matches_exact_evaluation(num_ues, num_aps, override
     # about 1000x headroom below the screen's margin
     assert worst <= 1e-12
     assert 1e-12 <= SCREEN_MARGIN / 1000
+
+
+def test_accepts_batch_matches_rows_and_screen_keeps_them():
+    # the screen is the swap rule with slack: on a batch at slack 0 it is
+    # the rule row by row, and with SCREEN_MARGIN it drops no row the
+    # rule takes.  Besides the real trades, every mix of a 1e-10 loss,
+    # tie or gain on k and k2 exercises the rule's ties; the raised
+    # demands leave some UEs saturated at kappa 1 and some below it.
+    cfg, ctx, demands, start = _da_scene(10, 25, seed=700)
+    demands = 5 * demands
+    current = ctx.evaluate_assoc(start.assoc, demands).kappa
+    steps = np.array([-1e-10, 0.0, 1e-10])
+    taken = screened = 0
+    for k in range(10):
+        for k2 in range(k + 1, 10):
+            near = np.repeat(current[None], steps.size ** 2, axis=0)
+            near[:, k] += np.repeat(steps, steps.size)
+            near[:, k2] += np.tile(steps, steps.size)
+            batch = np.concatenate([_trades(ctx, start.assoc, demands, k, k2)[2],
+                                    np.minimum(1.0, near)])
+            exact = _accepts(batch, current, k, k2)
+            np.testing.assert_array_equal(
+                exact, [_accepts(row, current, k, k2) for row in batch])
+            screen = _accepts(batch, current, k, k2, SCREEN_MARGIN)
+            assert not np.any(exact & ~screen)
+            taken += int(np.count_nonzero(exact))
+            screened += int(np.count_nonzero(screen))
+    assert 0 < taken < screened
+    # an exact tie of the sum is no drop: k gains what a third UE loses
+    current, trade = np.array([0.5, 0.5, 0.5]), np.array([0.75, 0.5, 0.25])
+    assert _accepts(trade, current, 0, 1) and _accepts(trade[None], current, 0, 1).all()
 
 
 def test_swap_of_saturated_ues_evaluates_once(monkeypatch):
