@@ -10,8 +10,8 @@ from .matching import (PreferenceState, UEPartition, GameCounters,
                        is_favorable_pair, cluster_evolution, ea_m2m)
 from .baselines import (best_channel, min_distance, canonical, gca, da_m2m,
                         swap_matching, STRATEGIES, get_strategy)
-from .simulation import (MetricsRecord, StrategySummary, EpisodeSummary,
-                         draw_demands, run_episode, run_sweep, summarize)
+from .simulation import (MetricsRecord, StrategySummary, draw_demands,
+                         run_episode, run_sweep, summarize)
 from .cli import RunSpec, load_config, cmd_run, main
 from .streams import substream, STREAM_IDS
 
@@ -26,7 +26,7 @@ __all__ = [
     "cluster_evolution", "ea_m2m",
     "best_channel", "min_distance", "canonical", "gca", "da_m2m",
     "swap_matching", "STRATEGIES", "get_strategy",
-    "MetricsRecord", "StrategySummary", "EpisodeSummary", "draw_demands",
+    "MetricsRecord", "StrategySummary", "draw_demands",
     "run_episode", "run_sweep", "summarize",
     "RunSpec", "load_config", "cmd_run", "main",
     "substream", "STREAM_IDS",

@@ -76,6 +76,8 @@ class RunSpec:
             raise ValueError("strategies must list at least one strategy")
         for name in self.strategies:
             get_strategy(name)
+        if len(set(self.strategies)) < len(self.strategies):
+            raise ValueError(f"strategies must not repeat, got {self.strategies}")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
         for s in self.seeds:
@@ -102,34 +104,23 @@ RECORD_COLUMNS = ["seed", "timestep", "strategy", "kappa_0", "ue_index", "kappa"
                   "rate_bps", "satisfied", "associations_total", "quota_violation"]
 
 
-def _record_rows(seed: int, kappa0: float, records):
-    """One row per (record, UE), generated as the writer consumes them."""
+def _record_rows(seed: int, kappa0: float, records, flag=bool):
+    """One tuple per (record, UE) in RECORD_COLUMNS order, generated as
+    the writer consumes them; flag converts the two boolean columns."""
+    kappa0 = float(kappa0)
     for rec in records:
-        for k in range(rec.kappa.shape[0]):
-            yield {
-                "seed": seed,
-                "timestep": rec.timestep,
-                "strategy": rec.strategy,
-                "kappa_0": float(kappa0),
-                "ue_index": k,
-                "kappa": float(rec.kappa[k]),
-                "rate_bps": float(rec.per_ue_rate[k]),
-                "satisfied": bool(rec.kappa[k] >= kappa0),
-                "associations_total": rec.association_count,
-                "quota_violation": rec.quota_violation,
-            }
+        columns = zip(rec.kappa.tolist(), rec.per_ue_rate.tolist(),
+                      map(flag, (rec.kappa >= kappa0).tolist()))
+        for k, (kappa, rate, satisfied) in enumerate(columns):
+            yield (seed, rec.timestep, rec.strategy, kappa0, k, kappa, rate, satisfied,
+                   rec.association_count, flag(rec.quota_violation))
 
 
 def _write_records_csv(f, rows) -> None:
+    # csv writes each float as its repr, which round-trips exactly
     writer = csv.writer(f, lineterminator="\n")
     writer.writerow(RECORD_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row["seed"], row["timestep"], row["strategy"],
-            repr(row["kappa_0"]), row["ue_index"], repr(row["kappa"]),
-            repr(row["rate_bps"]), int(row["satisfied"]),
-            row["associations_total"], int(row["quota_violation"]),
-        ])
+    writer.writerows(rows)
 
 
 def _write_json(f, obj) -> None:
@@ -151,24 +142,10 @@ def _write_atomic(path: str, write, newline: str | None = None) -> None:
         raise
 
 
-def _summary_payload(seed: int, kappa0: float, strategies: list[str],
-                     summary) -> dict:
-    payload = {
-        "seed": seed,
-        "kappa_0": float(kappa0),
-        "strategies": list(strategies),
-        "per_strategy": {},
-    }
-    for name, s in summary.per_strategy.items():
-        payload["per_strategy"][name] = asdict(s)
-        del payload["per_strategy"][name]["strategy"]
-    return payload
-
-
 def _print_summary(seed: int, kappa0: float, summary) -> None:
     print(f"seed {seed}, threshold {kappa0:g}")
     print(f"  {'strategy':<10} {'%satisfied':>10} {'mean kappa':>11} {'mean assoc':>11}")
-    for name, s in summary.per_strategy.items():
+    for name, s in summary.items():
         print(f"  {name:<10} {s.pct_satisfied_mean:>10.2f} "
               f"{s.kappa_mean:>11.4f} {s.associations_mean:>11.2f}")
 
@@ -190,15 +167,19 @@ def cmd_run(spec: RunSpec) -> int:
                 summary = summarize(records)
                 tag = f"seed{seed}_kappa{_kappa_tag(kappa0)}"
                 rec_path = os.path.join(spec.out_dir, f"records_{tag}.{spec.fmt}")
-                rows = _record_rows(seed, kappa0, records)
                 if spec.fmt == "csv":
+                    rows = _record_rows(seed, kappa0, records, flag=int)
                     _write_atomic(rec_path, lambda f: _write_records_csv(f, rows),
                                   newline="")
                 else:
-                    _write_atomic(rec_path, lambda f: _write_json(f, list(rows)))
+                    rows = [dict(zip(RECORD_COLUMNS, row))
+                            for row in _record_rows(seed, kappa0, records)]
+                    _write_atomic(rec_path, lambda f: _write_json(f, rows))
                 written.append(rec_path)
                 sum_path = os.path.join(spec.out_dir, f"summary_{tag}.json")
-                payload = _summary_payload(seed, kappa0, spec.strategies, summary)
+                payload = {"seed": seed, "kappa_0": float(kappa0),
+                           "strategies": list(spec.strategies),
+                           "per_strategy": {n: asdict(s) for n, s in summary.items()}}
                 _write_atomic(sum_path, lambda f: _write_json(f, payload))
                 written.append(sum_path)
                 _print_summary(seed, kappa0, summary)

@@ -59,12 +59,10 @@ class Matching:
 class NetworkEvaluation:
     """Per-UE scores for one matching on one realization.
 
-    power: (K, M) float, transmit power AP m spends on UE k.
     sinr, rate, kappa: (K,) float; kappa is min(1, rate / demand) and is
     0 for UEs with an empty cluster.
     """
 
-    power: np.ndarray
     sinr: np.ndarray
     rate: np.ndarray
     kappa: np.ndarray
@@ -113,13 +111,11 @@ class EvalContext:
         """Score one boolean association matrix against per-UE demands."""
         demands = np.asarray(demands, dtype=float)
         assoc = np.asarray(assoc, dtype=bool)
-        share = self.power_share(assoc)
-        power = assoc * share[None, :]
         # w[j, m] = sqrt(P_{j,m}) / (||h_{j,m}||^2 + noise), zero where inactive
-        w = assoc * (np.sqrt(share)[None, :] * self.inv_denom)
+        w = assoc * (np.sqrt(self.power_share(assoc))[None, :] * self.inv_denom)
         amp = np.einsum("kjm,jm->kj", self.cross, w)
         sinr, rate, kappa = self.score_amplitudes(amp, demands)
-        return NetworkEvaluation(power=power, sinr=sinr, rate=rate, kappa=kappa)
+        return NetworkEvaluation(sinr=sinr, rate=rate, kappa=kappa)
 
     def score_amplitudes(self, amp: np.ndarray, demands: np.ndarray):
         """(sinr, rate, kappa), each (..., K), from amplitudes (..., K, K).

@@ -139,29 +139,20 @@ def associate(k: int, m: int, state: PreferenceState, matching: Matching,
         counters.association_ops += 1
 
 
-def _acceptance_possible(state: PreferenceState, rejected: set[int]) -> bool:
-    """True while some requesting UE sits in the remaining-quota window
-    of some AP's list."""
-    for m, prefs in enumerate(state.ap_prefs):
-        q = state.ap_quota[m]
-        if q > 0 and any(k in rejected for k in prefs[:q]):
-            return True
-    return False
-
-
 def ea_initial_association(state: PreferenceState, config: ScenarioConfig,
                            counters: GameCounters | None = None,
                            trace: list | None = None
                            ) -> tuple[Matching, UEPartition, PreferenceState]:
     """Build every UE's first cluster by early acceptance.
 
-    Rounds run while some requesting UE is still acceptable somewhere.
-    In a round each requesting UE (ascending index) asks the AP at its
-    request pointer, clamped to the end of its shrunken list; the AP
-    accepts immediately iff the UE ranks inside its remaining-quota
-    window, otherwise the pointer advances.  UEs still unassociated when
-    the rounds stop are force-associated to the first AP left on their
-    list, or declared unassociated if none is left.
+    Rounds run until one neither accepts a request nor moves a request
+    pointer onto a fresh place of its list.  In a round each requesting
+    UE (ascending index) asks the AP at its request pointer, clamped to
+    the end of its shrunken list; the AP accepts immediately iff the UE
+    ranks inside its remaining-quota window, otherwise the pointer
+    advances.  UEs still unassociated when the rounds stop are
+    force-associated to the first AP left on their list, or declared
+    unassociated if none is left.
     """
     num_ues = len(state.ue_prefs)
     num_aps = len(state.ap_prefs)
@@ -169,7 +160,7 @@ def ea_initial_association(state: PreferenceState, config: ScenarioConfig,
     partition = UEPartition(rejected=set(range(num_ues)))
     rejected = partition.rejected
 
-    while rejected and _acceptance_possible(state, rejected):
+    while rejected:
         accepted_any = False
         advanced_any = False
         for k in sorted(rejected):

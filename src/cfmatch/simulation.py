@@ -12,7 +12,7 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ScenarioConfig, generate_layout, step_mobility, realize_channels
@@ -45,7 +45,6 @@ class MetricsRecord:
 class StrategySummary:
     """Aggregates for one strategy across an episode."""
 
-    strategy: str
     timesteps: int
     pct_satisfied_mean: float
     pct_satisfied_std: float
@@ -57,13 +56,6 @@ class StrategySummary:
     association_ops_total: int
     swap_count_total: int
     da_iterations_total: int
-
-
-@dataclass
-class EpisodeSummary:
-    """Per-strategy summaries, keyed by strategy name."""
-
-    per_strategy: dict[str, StrategySummary] = field(default_factory=dict)
 
 
 def draw_demands(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -143,28 +135,23 @@ def _sample_std(values: np.ndarray) -> float:
     return float(values.std(ddof=1))
 
 
-def summarize(records: list[MetricsRecord]) -> EpisodeSummary:
+def summarize(records: list[MetricsRecord]) -> dict[str, StrategySummary]:
     """Aggregate records per strategy: means and sample standard
-    deviations across timesteps."""
+    deviations across timesteps, keyed by strategy name in order of
+    first appearance."""
     if not records:
         raise ValueError("cannot summarize an empty record list")
-    order: list[str] = []
     grouped: dict[str, list[MetricsRecord]] = {}
     for rec in records:
-        if rec.strategy not in grouped:
-            grouped[rec.strategy] = []
-            order.append(rec.strategy)
-        grouped[rec.strategy].append(rec)
+        grouped.setdefault(rec.strategy, []).append(rec)
 
-    summary = EpisodeSummary()
-    for name in order:
-        recs = grouped[name]
+    summary = {}
+    for name, recs in grouped.items():
         num_ues = recs[0].kappa.shape[0]
         pct = np.array([100.0 * r.satisfied_count / num_ues for r in recs])
         kappa_t = np.array([r.kappa.mean() for r in recs])
         assoc = np.array([float(r.association_count) for r in recs])
-        summary.per_strategy[name] = StrategySummary(
-            strategy=name,
+        summary[name] = StrategySummary(
             timesteps=len(recs),
             pct_satisfied_mean=float(pct.mean()),
             pct_satisfied_std=_sample_std(pct),

@@ -7,11 +7,14 @@ and reference_cluster_evolution are the swap scan, the gca drop loop
 and the ea evolution phase in their plain form: one full exact
 evaluation per candidate.  reference_da_m2m is deferred acceptance with
 its held offers in per-AP lists and one proposal at a time.
+reference_ea_initial_association is the ea initial phase with its
+rounds also stopped by a scan for any acceptance still possible.
 """
 
 import numpy as np
 
-from cfmatch import GameCounters, Matching, associate, build_preferences
+from cfmatch import (GameCounters, Matching, UEPartition, associate,
+                     build_preferences)
 
 
 def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands):
@@ -244,3 +247,57 @@ def reference_da_m2m(ctx, demands, config):
     for m in range(num_aps):
         assoc[holding[m], m] = True
     return Matching.from_assoc(assoc), counters
+
+
+def reference_ea_initial_association(state, config, counters=None, trace=None):
+    """ea_initial_association that stops its rounds as soon as no
+    requesting UE sits in the remaining-quota window of any AP's list.
+
+    Windows change only on an accept, so once the scan finds none no
+    later round can accept; the package's loop runs on until no pointer
+    moves to a fresh place, and must give the same matching, partition,
+    trace, counters, lists and quotas (only pointers may differ).
+    """
+    num_ues, num_aps = len(state.ue_prefs), len(state.ap_prefs)
+    matching = Matching.empty(num_ues, num_aps)
+    partition = UEPartition(rejected=set(range(num_ues)))
+    rejected = partition.rejected
+
+    def acceptance_possible():
+        return any(k in rejected for m, prefs in enumerate(state.ap_prefs)
+                   for k in prefs[:state.ap_quota[m]])
+
+    while rejected and acceptance_possible():
+        accepted_any = False
+        advanced_any = False
+        for k in sorted(rejected):
+            prefs = state.ue_prefs[k]
+            if not prefs:
+                continue
+            fresh = state.pointer[k] < len(prefs)
+            m = prefs[min(state.pointer[k], len(prefs) - 1)]
+            if k in state.ap_prefs[m][:state.ap_quota[m]]:
+                associate(k, m, state, matching, counters)
+                rejected.discard(k)
+                partition.associated.add(k)
+                accepted_any = True
+                if trace is not None:
+                    trace.append(("init", k, m))
+            else:
+                state.pointer[k] += 1
+                advanced_any = advanced_any or fresh
+        if not accepted_any and not advanced_any:
+            break
+
+    for k in sorted(rejected):
+        prefs = state.ue_prefs[k]
+        if prefs:
+            m = prefs[0]
+            associate(k, m, state, matching, counters)
+            partition.associated.add(k)
+            if trace is not None:
+                trace.append(("init", k, m))
+        else:
+            partition.unassociated.add(k)
+    rejected.clear()
+    return matching, partition, state

@@ -82,6 +82,8 @@ def test_runspec_validation():
         RunSpec(None, ["ea"], [1], [1.5], "out", "csv")
     with pytest.raises(ValueError, match="seeds must not repeat"):
         RunSpec(None, ["ea"], [1, 2, 1], [1.0], "out", "csv")
+    with pytest.raises(ValueError, match="strategies must not repeat"):
+        RunSpec(None, ["ea", "bc", "ea"], [1], [1.0], "out", "csv")
     with pytest.raises(ValueError, match="kappa0 values"):
         RunSpec(None, ["ea"], [1], [0.1234567, 0.12345671], "out", "csv")
     RunSpec(None, ["ea"], [1, 2], [0.123456, 0.123457], "out", "csv")
@@ -192,10 +194,8 @@ def _per_threshold_files(config_path, strategies, seeds, thresholds, fmt):
             else:
                 files[f"records_{tag}.json"] = json.dumps(rows, indent=2,
                                                           sort_keys=True) + "\n"
-            per_strategy = {}
-            for name, agg in summarize(records).per_strategy.items():
-                per_strategy[name] = dataclasses.asdict(agg)
-                del per_strategy[name]["strategy"]
+            per_strategy = {name: dataclasses.asdict(agg)
+                            for name, agg in summarize(records).items()}
             payload = {"seed": seed, "kappa_0": k0, "strategies": strategies,
                        "per_strategy": per_strategy}
             files[f"summary_{tag}.json"] = json.dumps(payload, indent=2,
@@ -321,6 +321,7 @@ def test_main_rejects_bad_kappa0(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, values, field", [
     ("--seeds", "3,3", "seeds"),
+    ("--strategies", "ea,bc,ea", "strategies"),
     ("--kappa0", "0.1234567,0.12345671", "kappa0"),
     ("--kappa0", "0.8,0.8", "kappa0"),
 ])

@@ -61,7 +61,7 @@ def test_equal_power_split():
     assoc[:, 0] = True
     ctx = EvalContext(random_channels(np.random.default_rng(2), 4, 2, 1),
                       small_config(2, 4))
-    p = ctx.evaluate_assoc(assoc, np.full(4, 1e6)).power
+    p = assoc * ctx.power_share(assoc)
     np.testing.assert_allclose(p[:, 0], 0.05)
     np.testing.assert_array_equal(p[:, 1], 0.0)
     assert p[:, 0].sum() == pytest.approx(0.2, rel=1e-12)
@@ -74,7 +74,7 @@ def test_equal_power_sums_are_budget_or_zero():
         assoc = rng.random((num_ues, num_aps)) < 0.4
         ctx = EvalContext(random_channels(rng, num_ues, num_aps, 1),
                           small_config(num_aps, num_ues))
-        p = ctx.evaluate_assoc(assoc, np.full(num_ues, 1e6)).power
+        p = assoc * ctx.power_share(assoc)
         assert (p >= 0).all()
         sums = p.sum(axis=0)
         loaded = assoc.any(axis=0)
@@ -154,10 +154,12 @@ def test_evaluate_matches_transparent_route():
         ch = random_channels(rng, num_ues, num_aps, n_ant)
         assoc = rng.random((num_ues, num_aps)) < 0.5
         demands = rng.choice([5e6, 30e6, 100e6], size=num_ues)
-        ev = EvalContext(ch, cfg).evaluate_assoc(assoc, demands)
+        ctx = EvalContext(ch, cfg)
+        ev = ctx.evaluate_assoc(assoc, demands)
         ref = reference_evaluate(ch.vectors, assoc, cfg.max_power,
                                  cfg.noise_var, cfg.bandwidth, demands)
-        np.testing.assert_allclose(ev.power, ref["power"], rtol=1e-12)
+        np.testing.assert_allclose(assoc * ctx.power_share(assoc), ref["power"],
+                                   rtol=1e-12)
         np.testing.assert_allclose(ev.sinr, ref["sinr"], rtol=1e-10, atol=1e-30)
 
 
@@ -254,7 +256,8 @@ def test_new_interferer_never_helps():
         before = ctx.evaluate_assoc(base, demands)
         after = ctx.evaluate_assoc(grown, demands)
         assert (after.sinr[:2] <= before.sinr[:2]).all()
-        np.testing.assert_array_equal(after.power[:2], before.power[:2])
+        np.testing.assert_array_equal((grown * ctx.power_share(grown))[:2],
+                                      (base * ctx.power_share(base))[:2])
 
 
 def test_quota_violation_flag():

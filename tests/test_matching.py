@@ -10,7 +10,7 @@ from cfmatch import (Matching, build_preferences, associate,
 from cfmatch import matching as matching_module
 from cfmatch.matching import _GrowingScores
 
-from bruteforce import reference_cluster_evolution
+from bruteforce import reference_cluster_evolution, reference_ea_initial_association
 from helpers import (small_config, random_channels, channels_from_vectors,
                      random_demands, check_partition, check_matching_valid,
                      replay_ea_trace, seeded_scene)
@@ -150,6 +150,35 @@ def test_initial_association_no_aps():
     assert m.association_count() == 0
     assert part.unassociated == {0, 1}
     assert part.associated == set()
+
+
+def test_initial_association_matches_reference_stopping_scan():
+    # the rounds stop on their own no-progress rule; the reference also
+    # stops once no acceptance is possible, which must change nothing
+    # but how far the request pointers end up
+    rng = np.random.default_rng(97)
+    stopped_early = 0
+    for scene in range(600):
+        num_ues = int(rng.integers(1, 30))
+        num_aps = int(rng.integers(1, 40))
+        cfg = small_config(num_aps, num_ues, ap_quota=int(rng.integers(1, 4)),
+                           ue_quota=int(rng.integers(1, 4)))
+        if scene % 10 < 3:  # exact gain ties on both sides
+            gains = rng.integers(1, 4, size=(num_ues, num_aps)).astype(float)
+        else:
+            gains = 10.0 ** rng.uniform(-9.0, -6.0, size=(num_ues, num_aps))
+        runs = []
+        for initial in (ea_initial_association, reference_ea_initial_association):
+            counters, trace = GameCounters(), []
+            m, part, state = initial(build_preferences(gains, cfg), cfg, counters,
+                                     trace=trace)
+            runs.append((m.assoc, part.sets(), trace, counters, state.ue_prefs,
+                         state.ap_prefs, state.ue_quota, state.ap_quota, state.pointer))
+        (assoc, *rest, pointer), (ref_assoc, *ref_rest, ref_pointer) = runs
+        np.testing.assert_array_equal(assoc, ref_assoc, err_msg=f"scene {scene}")
+        assert rest == ref_rest, f"scene {scene}"
+        stopped_early += pointer != ref_pointer
+    assert stopped_early > 0  # the reference's scan did cut some rounds short
 
 
 def test_initial_association_single_ap_per_ue():

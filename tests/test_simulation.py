@@ -181,7 +181,7 @@ def _record(strategy, t, kappa, satisfied, assoc):
 
 def test_summarize_single_record():
     s = summarize([_record("ea", 1, np.linspace(0, 1, 20), 10, 30)])
-    agg = s.per_strategy["ea"]
+    agg = s["ea"]
     assert agg.pct_satisfied_mean == 50.0
     assert agg.pct_satisfied_std == 0.0
     assert agg.associations_mean == 30.0
@@ -189,7 +189,7 @@ def test_summarize_single_record():
 
 def test_summarize_all_satisfied():
     s = summarize([_record("ea", 1, np.ones(8), 8, 16)])
-    agg = s.per_strategy["ea"]
+    agg = s["ea"]
     assert agg.pct_satisfied_mean == 100.0
     assert agg.kappa_mean == 1.0
 
@@ -197,7 +197,7 @@ def test_summarize_all_satisfied():
 def test_summarize_two_timesteps():
     recs = [_record("ea", 1, np.full(20, 0.5), 10, 30),
             _record("ea", 2, np.full(20, 1.0), 20, 34)]
-    agg = summarize(recs).per_strategy["ea"]
+    agg = summarize(recs)["ea"]
     assert agg.pct_satisfied_mean == 75.0
     assert agg.pct_satisfied_std == pytest.approx(np.std([50.0, 100.0], ddof=1))
     assert agg.kappa_mean == pytest.approx(0.75)
@@ -211,7 +211,7 @@ def test_summarize_counter_totals():
     r2 = _record("ea", 2, np.ones(4), 4, 6)
     r2.counters.favorable_tests = 7
     r2.counters.swap_count = 2
-    agg = summarize([r1, r2]).per_strategy["ea"]
+    agg = summarize([r1, r2])["ea"]
     assert agg.favorable_tests_total == 12
     assert agg.swap_count_total == 2
 
@@ -225,5 +225,5 @@ def test_summarize_groups_by_strategy():
     recs = [_record("ea", 1, np.ones(4), 4, 6),
             _record("bc", 1, np.zeros(4), 0, 4)]
     s = summarize(recs)
-    assert set(s.per_strategy) == {"ea", "bc"}
-    assert s.per_strategy["bc"].pct_satisfied_mean == 0.0
+    assert list(s) == ["ea", "bc"]  # first-appearance order
+    assert s["bc"].pct_satisfied_mean == 0.0
