@@ -88,11 +88,11 @@ def _drop_min_se(ctx, assoc, demands, aps):
     power share, so only AP m's terms leave the amplitude sums.
     """
     weight = assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
-    amp = np.einsum("kjm,jm->kj", ctx.cross, weight)
+    amp = ctx.amplitudes(weight)
     out = np.empty(aps.size)
     for i in range(0, aps.size, DROP_BLOCK):
         block = aps[i:i + DROP_BLOCK]
-        trial_amp = amp - np.einsum("kjb,jb->bkj", ctx.cross[:, :, block], weight[:, block])
+        trial_amp = amp - ctx.cross[block] * weight[:, block].T[:, None, :]
         sinr = ctx.score_amplitudes(trial_amp, demands)[0]
         out[i:i + DROP_BLOCK] = np.log2(1.0 + sinr).min(axis=1)
     return out
@@ -173,7 +173,7 @@ def swap_matching(matching: Matching, ctx: EvalContext, demands, config: Scenari
     weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
 
     def find_swap(current):
-        amp = np.einsum("kjm,jm->kj", ctx.cross, assoc * weight)
+        amp = ctx.amplitudes(assoc * weight)
         for k in range(num_ues):
             for k2 in range(k + 1, num_ues):
                 gives, takes, kappa = _pair_trades(ctx, assoc, weight, amp, demands, k, k2)
@@ -212,10 +212,10 @@ def _pair_trades(ctx, assoc, weight, amp, demands, k, k2):
     gives = np.repeat(only_k, only_k2.size)
     takes = np.tile(only_k2, only_k.size)
     trial_amp = np.repeat(amp[None], gives.size, axis=0)
-    trial_amp[:, :, k] += (ctx.cross[:, k, takes] * weight[k, takes]
-                           - ctx.cross[:, k, gives] * weight[k, gives]).T
-    trial_amp[:, :, k2] += (ctx.cross[:, k2, gives] * weight[k2, gives]
-                            - ctx.cross[:, k2, takes] * weight[k2, takes]).T
+    trial_amp[:, :, k] += (ctx.cross[takes, :, k] * weight[k, takes, None]
+                           - ctx.cross[gives, :, k] * weight[k, gives, None])
+    trial_amp[:, :, k2] += (ctx.cross[gives, :, k2] * weight[k2, gives, None]
+                            - ctx.cross[takes, :, k2] * weight[k2, takes, None])
     return gives, takes, ctx.score_amplitudes(trial_amp, demands)[2]
 
 

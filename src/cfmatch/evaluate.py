@@ -7,10 +7,11 @@ power budget over its load, coherent combining of serving APs, and the
 resulting SINR, rate and satisfaction ratio against the UE's demand.
 
 EvalContext caches all pairwise channel inner products once per
-realization, AP by AP as Gram matrices from batched BLAS matmuls, and
-its evaluate_assoc scores any matching with a few vectorized
-operations; the association algorithms probe many candidate matchings
-through it.
+realization, one Gram matrix per AP from batched BLAS matmuls; its
+amplitudes reads only the APs a matching uses while clusters are
+small, and its evaluate_assoc scores any matching with a few
+vectorized operations.  The association algorithms probe many
+candidate matchings through it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .channel import ChannelRealization, ScenarioConfig
 # looser than an exact rule never decides a candidate the other way.
 SCREEN_MARGIN = 1e-9
 
-# APs whose Gram matrices one batched matmul computes before they are
-# copied into the cache: bounds the reused (AP_BLOCK, K, K) buffer and
-# the conjugated channel block to a few APs instead of all M.
+# APs whose Gram matrices one batched matmul writes into the cache:
+# bounds the conjugated channel block to a few APs instead of all M.
 AP_BLOCK = 4
 
 
@@ -71,29 +71,26 @@ class NetworkEvaluation:
 class EvalContext:
     """Pairwise channel products cached for one realization.
 
-    cross[k, j, m] = h_{k,m}^H h_{j,m}; with the regularized matched
-    filter every per-UE amplitude is a weighted row sum of cross, so a
-    candidate association matrix is scored in a couple of dense ops.
-    Slice cross[:, :, m] is the Gram matrix H_m^H H_m of AP m's (N, K)
-    channel block; AP_BLOCK of them come from one batched matmul (zgemm)
-    and are copied into the (K, K, M) layout that evaluate_assoc's
-    einsum reads fastest.  norm2 is the real diagonal of cross.
+    cross[m] is the Gram matrix H_m^H H_m of AP m's (N, K) channel
+    block, cross[m, k, j] = h_{k,m}^H h_{j,m}; AP_BLOCK slabs at a time
+    come from one batched matmul (zgemm) written straight into the
+    (M, K, K) cache.  With the regularized matched filter every per-UE
+    amplitude is a weighted sum of these slabs over the UE's serving
+    APs (amplitudes), so a candidate association matrix is scored in a
+    couple of dense ops.  norm2[k, m] is the real diagonal cross[m, k, k].
     """
 
     def __init__(self, channels: ChannelRealization, config: ScenarioConfig):
         h = channels.vectors
         num_ues = h.shape[0]
         self.channels = channels
-        # uninitialized: the block loop below writes every AP's slice
-        self.cross = np.empty((num_ues, num_ues, h.shape[1]), dtype=complex)
-        gram = np.empty((AP_BLOCK, num_ues, num_ues), dtype=complex)
+        # uninitialized: the block loop below writes every AP's slab
+        self.cross = np.empty((h.shape[1], num_ues, num_ues), dtype=complex)
         for i in range(0, h.shape[1], AP_BLOCK):
             block = h[:, i:i + AP_BLOCK].swapaxes(0, 1)  # (B, K, N)
-            b = block.shape[0]
-            np.matmul(block.conj(), block.swapaxes(1, 2), out=gram[:b])
-            self.cross[:, :, i:i + b] = gram[:b].transpose(1, 2, 0)
+            np.matmul(block.conj(), block.swapaxes(1, 2), out=self.cross[i:i + AP_BLOCK])
         ues = np.arange(num_ues)
-        self.norm2 = self.cross[ues, ues].real.copy()
+        self.norm2 = self.cross[:, ues, ues].real.T.copy()
         self.inv_denom = 1.0 / (self.norm2 + config.noise_var)
         self.noise_var = config.noise_var
         self.max_power = config.max_power
@@ -111,11 +108,25 @@ class EvalContext:
         """Score one boolean association matrix against per-UE demands."""
         demands = np.asarray(demands, dtype=float)
         assoc = np.asarray(assoc, dtype=bool)
+        if assoc.shape != self.norm2.shape:
+            raise ValueError(f"assoc has shape {assoc.shape}, expected {self.norm2.shape}")
         # w[j, m] = sqrt(P_{j,m}) / (||h_{j,m}||^2 + noise), zero where inactive
         w = assoc * (np.sqrt(self.power_share(assoc))[None, :] * self.inv_denom)
-        amp = np.einsum("kjm,jm->kj", self.cross, w)
-        sinr, rate, kappa = self.score_amplitudes(amp, demands)
+        sinr, rate, kappa = self.score_amplitudes(self.amplitudes(w), demands)
         return NetworkEvaluation(sinr=sinr, rate=rate, kappa=kappa)
+
+    def amplitudes(self, w: np.ndarray) -> np.ndarray:
+        """amp[k, j] = sum_m cross[m, k, j] w[j, m], added term by term in
+        ascending m, so zero weights change no bit: while no UE has over M/2
+        weighted APs only their slabs are read (short clusters padded with
+        weight-0 APs), else the whole cache; complex weights spare a cast."""
+        active = w != 0
+        width = np.count_nonzero(active, axis=1).max(initial=0)
+        if 2 * width > self.num_aps:
+            return np.einsum("mkj,mj->kj", self.cross, w.T.astype(complex))
+        aps = np.argsort(~active, axis=1, kind="stable")[:, :width].T  # (width, K)
+        ues = np.arange(self.num_ues)
+        return np.einsum("rjk,rj->kj", self.cross[aps, :, ues], w[ues, aps].astype(complex))
 
     def score_amplitudes(self, amp: np.ndarray, demands: np.ndarray):
         """(sinr, rate, kappa), each (..., K), from amplitudes (..., K, K).

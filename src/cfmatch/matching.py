@@ -270,7 +270,7 @@ class _GrowingScores:
         self.demands = demands
         assoc = matching.assoc
         self.w = assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
-        self.amp = np.einsum("kjm,jm->kj", ctx.cross, self.w)
+        self.amp = ctx.amplitudes(self.w)
         self._rescore()
 
     def _rescore(self) -> None:
@@ -305,7 +305,7 @@ class _GrowingScores:
         change they make to the amplitude columns of load."""
         ctx = self.ctx
         w_m = np.sqrt(ctx.max_power / load.size) * ctx.inv_denom[load, m]
-        return w_m, ctx.cross[:, load, m] * (w_m - self.w[load, m])
+        return w_m, ctx.cross[m][:, load] * (w_m - self.w[load, m])
 
 
 def cluster_evolution(state: PreferenceState, matching: Matching,

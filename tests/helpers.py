@@ -48,6 +48,17 @@ def channels_from_vectors(vectors):
     return ChannelRealization(gains=gains, vectors=vectors, distances=distances)
 
 
+def beam_weights(ctx, assoc):
+    """evaluate_assoc's beam weights w[j, m] of a boolean association matrix."""
+    return assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
+
+
+def cross_einsum(ctx, w):
+    """Amplitudes as one einsum over the whole cache in (K, K, M) layout:
+    the contraction that EvalContext.amplitudes must match bit for bit."""
+    return np.einsum("kjm,jm->kj", np.ascontiguousarray(ctx.cross.transpose(1, 2, 0)), w)
+
+
 def random_demands(rng, config):
     return rng.choice(np.asarray(config.demand_set, float), size=config.num_ues)
 

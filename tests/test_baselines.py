@@ -276,7 +276,7 @@ def _da_scene(num_ues, num_aps, seed, **overrides):
 def _trades(ctx, assoc, demands, k, k2):
     """_pair_trades of UEs k, k2 at the start of a scan of assoc."""
     weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
-    amp = np.einsum("kjm,jm->kj", ctx.cross, assoc * weight)
+    amp = ctx.amplitudes(assoc * weight)
     return _pair_trades(ctx, assoc, weight, amp, demands, k, k2)
 
 

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import cfmatch
-from cfmatch import ChannelRealization, EvalContext, Matching
+from cfmatch import ChannelRealization, EvalContext, Matching, STRATEGIES, get_strategy
 from cfmatch.evaluate import AP_BLOCK
 
 from bruteforce import reference_evaluate
-from helpers import small_config, random_channels, channels_from_vectors
+from helpers import (small_config, random_channels, channels_from_vectors, seeded_scene,
+                     beam_weights, cross_einsum)
 
 
 def _evaluate(vectors, assoc, noise_var, max_power=0.2, demands=None):
@@ -183,8 +184,8 @@ def test_evaluate_matches_bruteforce_reference():
 
 @pytest.mark.parametrize("num_ues", [1, 15, 16, 17, 33, 40])
 def test_context_blocked_build_equals_one_shot_einsum(num_ues):
-    # the cache is filled a block of APs at a time, slice m by one batched
-    # matmul; each slice must be the unblocked Gram matrix h_m^H h_m bit
+    # the cache is filled a block of APs at a time, slab m by one batched
+    # matmul; each slab must be the unblocked Gram matrix h_m^H h_m bit
     # for bit, and the one-shot einsum up to summation order
     rng = np.random.default_rng(num_ues)
     num_aps, n_ant = 9, 3
@@ -192,12 +193,13 @@ def test_context_blocked_build_equals_one_shot_einsum(num_ues):
     ch = random_channels(rng, num_ues, num_aps, n_ant)
     ctx = EvalContext(ch, small_config(num_aps, num_ues, antennas_per_ap=n_ant))
     h = ch.vectors
+    assert ctx.cross.shape == (num_aps, num_ues, num_ues)
     for m in range(num_aps):
-        np.testing.assert_array_equal(ctx.cross[:, :, m], np.matmul(h[:, m].conj(), h[:, m].T))
-    einsum = np.einsum("kmn,jmn->kjm", h.conj(), h)
+        np.testing.assert_array_equal(ctx.cross[m], np.matmul(h[:, m].conj(), h[:, m].T))
+    einsum = np.einsum("kmn,jmn->mkj", h.conj(), h)
     assert np.abs(ctx.cross - einsum).max() <= 1e-15 * np.abs(einsum).max()
     ues = np.arange(num_ues)
-    np.testing.assert_array_equal(ctx.norm2, ctx.cross[ues, ues].real)
+    np.testing.assert_array_equal(ctx.norm2, ctx.cross[:, ues, ues].real.T)
 
 
 def test_context_build_memory_is_a_few_ap_blocks():
@@ -236,6 +238,69 @@ def test_context_cross_is_independent_of_blas_threads():
                              capture_output=True, text=True, check=True, timeout=120)
         digests.add(out.stdout.strip())
     assert len(digests) == 1 and len(digests.pop()) == 64
+
+
+@pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (20, 50), (30, 60), (70, 140)])
+def test_amplitudes_equal_one_einsum_on_every_strategy(num_ues, num_aps):
+    # every amplitude contraction a strategy makes, exact evaluations and
+    # batched scores alike, has the bits of the one einsum over the cache
+    cfg, ctx, demands = seeded_scene(num_ues, num_aps, 5)
+    contract = ctx.amplitudes
+    widths = []
+
+    def checked(w):
+        amp = contract(w)
+        assert np.array_equal(amp, cross_einsum(ctx, w))
+        widths.append(np.count_nonzero(w, axis=1).max(initial=0))
+        return amp
+
+    ctx.amplitudes = checked
+    for name in STRATEGIES:
+        # da-smp keeps da's cluster sizes; its 70x140 scan takes minutes
+        if name == "da-smp" and num_ues == 70:
+            continue
+        widths.clear()
+        matching, _ = get_strategy(name)(ctx, demands, cfg)
+        checked(beam_weights(ctx, matching.assoc))
+        if name == "gca" and num_ues == 30:
+            # its clusters start wider than M/2 and shrink below it
+            assert min(widths) <= num_aps // 2 < max(widths)
+
+
+@pytest.mark.parametrize("num_ues, num_aps, widths", [
+    (4, 8, [0, 0, 0, 0]),  # nothing served
+    (4, 8, [8, 0, 1, 2]),  # one UE holds every AP: the whole cache
+    (4, 8, [4, 4, 1, 0]),  # widest cluster exactly M/2: slabs only
+    (4, 8, [5, 3, 1, 0]),  # one AP over M/2
+    (5, 9, [4, 4, 2, 1, 0]),  # just under M/2 with M odd
+    (5, 9, [5, 1, 0, 3, 2]),  # just over
+    (1, 12, [5]),  # K = 1, under and over M/2
+    (1, 12, [7]),
+    (1, 12, [12]),
+])
+def test_amplitudes_edge_widths(num_ues, num_aps, widths):
+    rng = np.random.default_rng(num_ues * 100 + sum(widths))
+    ctx = EvalContext(random_channels(rng, num_ues, num_aps, 3),
+                      small_config(num_aps, num_ues, antennas_per_ap=3))
+    assoc = np.zeros((num_ues, num_aps), dtype=bool)
+    for k, width in enumerate(widths):
+        assoc[k, rng.permutation(num_aps)[:width]] = True
+    w = beam_weights(ctx, assoc)
+    amp = ctx.amplitudes(w)
+    assert amp.shape == (num_ues, num_ues)
+    assert np.array_equal(amp, cross_einsum(ctx, w))
+    if not assoc.any():
+        assert not amp.any()
+
+
+def test_evaluate_assoc_rejects_a_wrongly_shaped_assoc():
+    # a (1, M) row would broadcast over all K UEs with loads of 1
+    rng = np.random.default_rng(2)
+    ctx = EvalContext(random_channels(rng, 4, 6, 2), small_config(6, 4, antennas_per_ap=2))
+    for shape in [(1, 6), (4, 1), (6, 4), (4, 6, 1), (6,)]:
+        with pytest.raises(ValueError, match=r"assoc .*\(4, 6\)"):
+            ctx.evaluate_assoc(np.ones(shape, dtype=bool), np.full(4, 1e6))
+    ctx.evaluate_assoc(np.ones((4, 6), dtype=bool), np.full(4, 1e6))
 
 
 def test_new_interferer_never_helps():

@@ -1,5 +1,6 @@
 """Property tests of config validation and the CLI's handling of bad
-configs, on generated JSON payloads."""
+configs, on generated JSON payloads, and of the amplitude contraction
+on generated association matrices."""
 
 import contextlib
 import dataclasses
@@ -9,8 +10,11 @@ import os
 import tempfile
 
 from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+import numpy as np
 
-from cfmatch import ScenarioConfig, load_config, main
+from cfmatch import EvalContext, ScenarioConfig, load_config, main
+from helpers import beam_weights, cross_einsum, random_channels, small_config
 
 FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
 
@@ -115,3 +119,19 @@ def test_main_exits_2_on_a_bad_config_and_writes_nothing(text):
         assert err.getvalue().startswith("error: ")
         assert "Traceback" not in err.getvalue()
         assert not os.path.exists(out)
+
+
+MATCHINGS = st.tuples(st.integers(1, 8), st.integers(1, 16)).flatmap(
+    lambda shape: arrays(bool, shape))
+
+
+@PROPERTY_SETTINGS
+@given(MATCHINGS, st.integers(0, 2 ** 32 - 1))
+def test_amplitudes_of_any_matching_equal_one_einsum(assoc, seed):
+    num_ues, num_aps = assoc.shape
+    rng = np.random.default_rng(seed)
+    ctx = EvalContext(random_channels(rng, num_ues, num_aps, 2),
+                      small_config(num_aps, num_ues, antennas_per_ap=2))
+    w = beam_weights(ctx, assoc)
+    event("whole cache" if 2 * assoc.sum(axis=1).max() > num_aps else "cluster slabs")
+    assert np.array_equal(ctx.amplitudes(w), cross_einsum(ctx, w))
