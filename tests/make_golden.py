@@ -7,11 +7,11 @@ boolean association matrix plus every GameCounters field.  The seeded
 scenes are the first two timesteps of episodes at 5x8, 10x25 and 20x50
 (UEs x APs), seeds 0-2.  Two more 5x8 scenes copy AP columns (and, in
 the second, UE rows) so that gains tie exactly and every tie-break
-rule decides something.  Two larger scenes pin only their first step
+rule decides something.  Three larger scenes pin only their first step
 and the strategies that run at that size: 70x140 for ea, da, bc, md and
-cs, and 30x60 for gca, whose clusters start wider than M/2 and shrink
-below it.  test_golden.py recomputes the corpus and
-compares.  Regenerate it only for a change meant to alter a matching,
+cs, 30x60 for gca, whose clusters start wider than M/2 and shrink below
+it, and 50x100 for gca, whose 25 drops make the corpus's longest chain
+of drop rounds.  test_golden.py recomputes the corpus and compares.  Regenerate it only for a change meant to alter a matching,
 and say why in CHANGES.md.
 """
 
@@ -39,7 +39,7 @@ NUM_STEPS = 2
 EA_THRESHOLDS = (0.5, 1.0)
 # first step only, with the strategies named
 LARGE_SCENES = {"70x140-seed0": ("ea", "da", "bc", "md", "cs"),
-                "30x60-seed0": ("gca",)}
+                "30x60-seed0": ("gca",), "50x100-seed0": ("gca",)}
 
 
 def seeded_steps(num_ues, num_aps, seed):
