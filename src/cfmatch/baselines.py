@@ -45,56 +45,56 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
     efficiency the most, while any strict improvement exists.  Ties go
     to the lowest AP index.
 
-    Each round scores every drop at once from the cached amplitudes;
-    only the drops that might win are re-scored by the exact evaluator,
-    in ascending AP order, which alone decides.
+    A drop leaves every other AP's power share, so amplitudes are built
+    once and each drop subtracts its AP's slab.  Each round screens every
+    drop; the exact evaluator alone decides among those that might win.
     """
     gains = ctx.channels.gains
     floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
     assoc = gains >= floor[:, None]
 
     def min_se(a: np.ndarray) -> float:
-        ev = ctx.evaluate_assoc(a, demands)
-        return float(np.log2(1.0 + ev.sinr).min())
+        return float(np.log2(1.0 + ctx.evaluate_assoc(a, demands).sinr).min())
 
     current = min_se(assoc)
+    weight = (assoc * (np.sqrt(ctx.power_share(assoc)) * ctx.inv_denom)).T.astype(complex)
+    amp = ctx.amplitudes(weight.T)
+    # drops are scored in blocks of about 512 KB, which stay in L2 cache
+    block = np.empty((min(ctx.num_aps, 2 ** 19 // amp.nbytes + 1),) + amp.shape, complex)
     while True:
-        active = np.flatnonzero(assoc.any(axis=0))
-        batched = _drop_min_se(ctx, assoc, demands, active) - current
-        best_gain = 0.0
-        best_m = None
-        for m in active[_may_win(batched)]:
-            trial = assoc.copy()
-            trial[:, m] = False
-            gain = min_se(trial) - current
+        best_gain, best_m = 0.0, None
+        for m in np.flatnonzero(_may_win(_drop_gains(ctx, amp, weight, block, current))):
+            gain = min_se(assoc & (np.arange(ctx.num_aps) != m)) - current
             if gain > best_gain:
                 best_gain = gain
                 best_m = int(m)
         if best_m is None:
             break
         assoc[:, best_m] = False
+        amp -= ctx.cross[best_m] * weight[best_m]
+        weight[best_m] = 0.0
         current += best_gain
     return Matching.from_assoc(assoc)
 
 
-# APs per batch of _drop_min_se: bounds its temporaries to a few (K, K).
-DROP_BLOCK = 8
-
-
-def _drop_min_se(ctx, assoc, demands, aps):
-    """Minimum spectral efficiency after dropping each AP of aps alone.
-
-    Dropping AP m clears column m of assoc and leaves every other AP's
-    power share, so only AP m's terms leave the amplitude sums.
-    """
-    weight = assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
-    amp = ctx.amplitudes(weight)
-    out = np.empty(aps.size)
-    for i in range(0, aps.size, DROP_BLOCK):
-        block = aps[i:i + DROP_BLOCK]
-        trial_amp = amp - ctx.cross[block] * weight[:, block].T[:, None, :]
-        sinr = ctx.score_amplitudes(trial_amp, demands)[0]
-        out[i:i + DROP_BLOCK] = np.log2(1.0 + sinr).min(axis=1)
+def _drop_gains(ctx, amp, weight, block, current):
+    """(M,) minimum spectral efficiency after dropping each AP alone (amp -
+    cross[m] * weight[m]), less current; -inf if the AP serves no UE or the
+    drop leaves UE k, now the worst, SCREEN_MARGIN or more below current."""
+    k = np.argmin(ctx.score_amplitudes(amp, 1.0)[0])
+    row = np.abs(amp[k] - ctx.cross[:, k] * weight) ** 2
+    others = np.arange(len(amp)) != k
+    bound = np.log2(1.0 + row[:, k] / (row.sum(axis=1, where=others) + ctx.noise_var))
+    aps = np.flatnonzero(weight.any(axis=1) & (bound > current - SCREEN_MARGIN))
+    out = np.full(len(weight), -np.inf)
+    for sel in np.split(aps, range(len(block), aps.size, len(block))):
+        trial = np.take(ctx.cross, sel, axis=0, out=block[:sel.size], mode="clip")
+        np.subtract(amp, np.multiply(trial, weight[sel, None], out=trial), out=trial)
+        diag = trial.reshape(-1, amp.size)[:, ::len(amp) + 1]
+        signal = np.abs(diag) ** 2
+        diag[...] = 0.0
+        interference = np.einsum("bki,bki->bk", trial.view(float), trial.view(float))
+        out[sel] = np.log2(1.0 + (signal / (interference + ctx.noise_var)).min(axis=1)) - current
     return out
 
 

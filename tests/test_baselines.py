@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,10 @@ from cfmatch import (ScenarioConfig, Matching, best_channel, min_distance,
                      canonical, gca, da_m2m, swap_matching, STRATEGIES,
                      get_strategy, GameCounters, ChannelRealization, EvalContext)
 from cfmatch import baselines
-from cfmatch.baselines import SCREEN_MARGIN, _accepts, _drop_min_se, _pair_trades
+from cfmatch.baselines import SCREEN_MARGIN, _accepts, _pair_trades
 
 from bruteforce import reference_da_m2m, reference_gca, reference_swap_matching
+from make_golden import tie_scene
 from helpers import (small_config, random_channels, channels_from_vectors,
                      random_demands, check_matching_valid, seeded_scene)
 
@@ -410,27 +412,66 @@ def test_gca_matches_reference_loop(num_ues, num_aps, num_seeds):
 
 
 @pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (10, 25), (30, 60)])
-def test_batched_drop_min_se_matches_exact_evaluation(num_ues, num_aps):
+def test_batched_drop_min_se_matches_exact_evaluation(monkeypatch, num_ues, num_aps):
+    # replays gca and checks, in every round, every active drop against one
+    # exact evaluation: a screened gain in minimum SE lies within 1e-12 of
+    # the exact one, and a drop screened out (-inf) cannot raise the minimum.
+    # The screen reads amplitudes kept across rounds, so later rounds also
+    # check what the committed drops' subtractions left.  5x8 adds dup-aps.
+    scenes = [seeded_scene(num_ues, num_aps, seed) for seed in range(950, 953)]
+    if num_aps == 8:
+        scenes.append(tie_scene("dup-aps"))
+    original = baselines._drop_gains
     worst = 0.0
-    drops = 0
-    rng = np.random.default_rng(31)
-    for seed in range(950, 953):
-        cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed)
-        start = _gca_seed(ctx, cfg)
-        # the starting clusters, and the same with a third of the APs dropped
-        thinned = start & (rng.random(num_aps) < 2 / 3)[None, :]
-        for assoc in (start, thinned):
-            active = np.flatnonzero(assoc.any(axis=0))
-            batched = _drop_min_se(ctx, assoc, demands, active)
-            for m, se in zip(active, batched):
-                trial = assoc.copy()
-                trial[:, m] = False
-                sinr = ctx.evaluate_assoc(trial, demands).sinr
-                worst = max(worst, abs(se - float(np.log2(1.0 + sinr).min())))
-                drops += 1
-    assert drops > 0
+    screened = []
+    pruned = []
+
+    def screen(ctx, amp, weight, block, current):
+        nonlocal worst
+        out = original(ctx, amp, weight, block, current)
+        # weight[m, j] is nonzero exactly where AP m serves UE j
+        assoc = (weight != 0).T
+        active = assoc.any(axis=0)
+        assert np.isneginf(out[~active]).all()
+        for m in np.flatnonzero(active):
+            trial = assoc.copy()
+            trial[:, m] = False
+            sinr = ctx.evaluate_assoc(trial, demands).sinr
+            exact = float(np.log2(1.0 + sinr).min()) - current
+            if np.isneginf(out[m]):
+                assert exact <= -SCREEN_MARGIN + 1e-12
+                pruned.append(m)
+            else:
+                worst = max(worst, abs(out[m] - exact))
+                screened.append(m)
+        rounds.append(out)
+        return out
+
+    monkeypatch.setattr(baselines, "_drop_gains", screen)
+    rounds_after_drops = 0
+    for cfg, ctx, demands in scenes:
+        rounds = []
+        gca(ctx, demands, cfg)
+        rounds_after_drops += len(rounds) - 1
+    assert rounds_after_drops > 0 and screened and pruned
     # about 1000x headroom below the screen's margin
     assert worst <= 1e-12
+
+
+def test_gca_memory_is_a_few_drop_blocks():
+    # less the context built beforehand, tracemalloc sees the solve's own
+    # buffers; one whole-cache (M, K, K) temporary would be twice the bound.
+    # These clusters stay wider than M/2, so the exact evaluations read the
+    # whole cache and gather no slabs of their own.
+    cfg, ctx, demands = seeded_scene(40, 80, 0)
+    tracemalloc.start()
+    try:
+        out = gca(ctx, demands, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * out.assoc.sum(axis=1).max() > ctx.num_aps
+    assert peak < ctx.cross.nbytes / 2
 
 
 def test_gca_confirms_only_screen_survivors(monkeypatch):
