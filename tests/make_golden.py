@@ -10,9 +10,9 @@ the second, UE rows) so that gains tie exactly and every tie-break
 rule decides something.  Three larger scenes pin only their first step
 and the strategies that run at that size: 70x140 for ea, da, bc, md and
 cs, 30x60 for gca, whose clusters start wider than M/2 and shrink below
-it, and 50x100 for gca, whose 25 drops make the corpus's longest chain
-of drop rounds.  test_golden.py recomputes the corpus and compares.  Regenerate it only for a change meant to alter a matching,
-and say why in CHANGES.md.
+it, and 50x100 for gca, its largest pinned scene (25 drops).
+test_golden.py recomputes the corpus and compares.  Regenerate it only
+for a change meant to alter a matching, and say why in CHANGES.md.
 """
 
 from __future__ import annotations
