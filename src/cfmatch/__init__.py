@@ -5,9 +5,9 @@ from .channel import (ScenarioConfig, Layout, ChannelRealization,
                       generate_layout, step_mobility, path_gain,
                       draw_shadowing, realize_channels)
 from .evaluate import Matching, NetworkEvaluation, EvalContext
-from .matching import (PreferenceState, UEPartition, GameCounters,
-                       build_preferences, associate, ea_initial_association,
-                       is_favorable_pair, cluster_evolution, ea_m2m)
+from .matching import (PreferenceState, GameCounters, build_preferences, associate,
+                       ea_initial_association, is_favorable_pair, cluster_evolution,
+                       ea_m2m)
 from .baselines import (best_channel, min_distance, canonical, gca, da_m2m,
                         swap_matching, STRATEGIES, get_strategy)
 from .simulation import (MetricsRecord, StrategySummary, draw_demands,
@@ -21,7 +21,7 @@ __all__ = [
     "ScenarioConfig", "Layout", "ChannelRealization", "generate_layout",
     "step_mobility", "path_gain", "draw_shadowing", "realize_channels",
     "Matching", "NetworkEvaluation", "EvalContext",
-    "PreferenceState", "UEPartition", "GameCounters", "build_preferences",
+    "PreferenceState", "GameCounters", "build_preferences",
     "associate", "ea_initial_association", "is_favorable_pair",
     "cluster_evolution", "ea_m2m",
     "best_channel", "min_distance", "canonical", "gca", "da_m2m",

@@ -1,9 +1,10 @@
 """Reference clustering schemes and the strategy registry.
 
-All strategies share one signature: (ctx, demands, config) ->
-(Matching, GameCounters), where ctx is the EvalContext of one channel
-realization.  Schemes that ignore quotas (best-channel, min-distance,
-all-active, gain-threshold) report zeroed counters.
+Every strategy takes (ctx, demands, config), where ctx is the
+EvalContext of one channel realization, and returns (Matching,
+GameCounters); STRATEGIES maps each registry name to such a function.
+Schemes that ignore quotas (best-channel, min-distance, all-active,
+gain-threshold) return zeroed counters.
 """
 
 from __future__ import annotations
@@ -15,28 +16,28 @@ from .evaluate import SCREEN_MARGIN, EvalContext, Matching
 from .matching import GameCounters, build_preferences, ea_m2m
 
 
-def best_channel(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
+def best_channel(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
     """Each UE takes the single AP with the largest gain (ties: lower index)."""
     gains = ctx.channels.gains
     assoc = np.zeros(gains.shape, dtype=bool)
     assoc[np.arange(gains.shape[0]), np.argmax(gains, axis=1)] = True
-    return Matching.from_assoc(assoc)
+    return Matching.from_assoc(assoc), GameCounters()
 
 
-def min_distance(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
+def min_distance(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
     """Each UE takes the single nearest AP (ties: lower index)."""
     dists = ctx.channels.distances
     assoc = np.zeros(dists.shape, dtype=bool)
     assoc[np.arange(dists.shape[0]), np.argmin(dists, axis=1)] = True
-    return Matching.from_assoc(assoc)
+    return Matching.from_assoc(assoc), GameCounters()
 
 
-def canonical(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
+def canonical(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
     """Every AP serves every UE."""
-    return Matching.from_assoc(np.ones((ctx.num_ues, ctx.num_aps), dtype=bool))
+    return Matching.from_assoc(np.ones((ctx.num_ues, ctx.num_aps), dtype=bool)), GameCounters()
 
 
-def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
+def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
     """Gain-threshold clusters pruned greedily for the worst-UE rate.
 
     Each UE starts with every AP whose gain is within
@@ -74,7 +75,7 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> Matching:
         amp -= ctx.cross[best_m] * weight[best_m]
         weight[best_m] = 0.0
         current += best_gain
-    return Matching.from_assoc(assoc)
+    return Matching.from_assoc(assoc), GameCounters()
 
 
 def _drop_gains(ctx, amp, weight, block, current):
@@ -234,45 +235,20 @@ def _accepts(kappa, current, k, k2, slack=0.0):
                      | (up_k2 & (kappa[..., k] >= low[k])))
 
 
-def _run_ea(ctx, demands, config):
-    matching, _, counters = ea_m2m(ctx, demands, config)
-    return matching, counters
-
-
-def _run_da(ctx, demands, config):
-    return da_m2m(ctx, demands, config)
-
-
-def _run_da_smp(ctx, demands, config):
+def _da_smp(ctx, demands, config):
+    """da-smp: deferred acceptance refined by swap matching."""
     matching, counters = da_m2m(ctx, demands, config)
-    refined = swap_matching(matching, ctx, demands, config, counters)
-    return refined, counters
-
-
-def _run_bc(ctx, demands, config):
-    return best_channel(ctx, demands, config), GameCounters()
-
-
-def _run_md(ctx, demands, config):
-    return min_distance(ctx, demands, config), GameCounters()
-
-
-def _run_cs(ctx, demands, config):
-    return canonical(ctx, demands, config), GameCounters()
-
-
-def _run_gca(ctx, demands, config):
-    return gca(ctx, demands, config), GameCounters()
+    return swap_matching(matching, ctx, demands, config, counters), counters
 
 
 STRATEGIES = {
-    "ea": _run_ea,
-    "da": _run_da,
-    "da-smp": _run_da_smp,
-    "bc": _run_bc,
-    "md": _run_md,
-    "cs": _run_cs,
-    "gca": _run_gca,
+    "ea": ea_m2m,
+    "da": da_m2m,
+    "da-smp": _da_smp,
+    "bc": best_channel,
+    "md": min_distance,
+    "cs": canonical,
+    "gca": gca,
 }
 
 # Strategies that read config.satisfaction_threshold.  Every other one

@@ -68,12 +68,15 @@ class ScenarioConfig:
         for name in ("max_power", "bandwidth", "carrier_freq", "noise_var",
                      "timestep_duration"):
             v = getattr(self, name)
-            if not (_is_number(v) and v > 0):
-                raise ValueError(f"{name} must be a positive number, got {v!r}")
-        for name in ("pathloss_exp", "shadow_var", "ue_speed", "power_diff_threshold"):
+            if not (_is_number(v) and 0 < v < np.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        for name in ("pathloss_exp", "shadow_var", "ue_speed"):
             v = getattr(self, name)
-            if not (_is_number(v) and v >= 0):
-                raise ValueError(f"{name} must be a nonnegative number, got {v!r}")
+            if not (_is_number(v) and 0 <= v < np.inf):
+                raise ValueError(f"{name} must be a nonnegative finite number, got {v!r}")
+        v = self.power_diff_threshold  # +inf: every AP seeds the cluster
+        if not (_is_number(v) and v >= 0):
+            raise ValueError(f"power_diff_threshold must be a nonnegative number, got {v!r}")
         if not isinstance(self.shadow_in_db, (bool, np.bool_)):
             raise ValueError(f"shadow_in_db must be true or false, got {self.shadow_in_db!r}")
         v = self.satisfaction_threshold

@@ -11,9 +11,11 @@ favorable when the AP still ranks the UE inside its remaining-quota
 window, the UE's own satisfaction strictly improves, and the summed
 satisfaction of all served UEs does not drop.
 
-Every association updates both preference lists and both quotas, and a
-player whose quota hits zero disappears from all lists (including its
-own), so quotas can never be exceeded.
+The game's state is the association matrix and the preference lists
+with their remaining quotas; a UE is associated iff its row of the
+matrix is nonempty.  Every association updates both preference lists
+and both quotas, and a player whose quota hits zero disappears from all
+lists (including its own), so quotas can never be exceeded.
 
 The evolution phase is delta-scored.  Adding AP m to UE k changes only
 AP m's power share, so the amplitudes of the current matching are kept
@@ -37,41 +39,17 @@ from .evaluate import SCREEN_MARGIN, EvalContext, Matching
 
 @dataclass
 class PreferenceState:
-    """Mutable preference lists, remaining quotas and request pointers.
+    """Mutable preference lists and remaining quotas.
 
     ue_prefs[k]: AP indices still acceptable to UE k, best first.
     ap_prefs[m]: UE indices still acceptable to AP m, best first.
     ue_quota[k] / ap_quota[m]: remaining association budget.
-    pointer[k]: how many requests UE k has already sent (initial phase).
     """
 
     ue_prefs: list[list[int]]
     ap_prefs: list[list[int]]
     ue_quota: list[int]
     ap_quota: list[int]
-    pointer: list[int]
-
-
-@dataclass
-class UEPartition:
-    """Disjoint UE sets tracked across the game.
-
-    rejected:     still requesting in the initial phase.
-    associated:   have a cluster but unsettled satisfaction.
-    unassociated: ran out of options with an empty cluster.
-    satisfied:    reached the satisfaction threshold.
-    unsatisfied:  settled below the threshold.
-    """
-
-    rejected: set[int] = field(default_factory=set)
-    associated: set[int] = field(default_factory=set)
-    unassociated: set[int] = field(default_factory=set)
-    satisfied: set[int] = field(default_factory=set)
-    unsatisfied: set[int] = field(default_factory=set)
-
-    def sets(self) -> tuple[set[int], ...]:
-        return (self.rejected, self.associated, self.unassociated,
-                self.satisfied, self.unsatisfied)
 
 
 @dataclass
@@ -80,7 +58,7 @@ class GameCounters:
 
     favorable_tests: favorable-pair evaluations in the evolution phase.
     tests_per_round: favorable_tests split by evolution round.
-    association_ops: list/quota updates applied (one per association).
+    association_ops: associations made (one list/quota update each).
     swap_count:      committed swaps (swap refinement only).
     da_iterations:   proposal rounds (deferred acceptance only).
     """
@@ -101,12 +79,10 @@ def build_preferences(gains: np.ndarray, config: ScenarioConfig) -> PreferenceSt
                 for m in range(num_aps)]
     return PreferenceState(ue_prefs=ue_prefs, ap_prefs=ap_prefs,
                            ue_quota=[config.ue_quota] * num_ues,
-                           ap_quota=[config.ap_quota] * num_aps,
-                           pointer=[0] * num_ues)
+                           ap_quota=[config.ap_quota] * num_aps)
 
 
-def associate(k: int, m: int, state: PreferenceState, matching: Matching,
-              counters: GameCounters | None = None) -> None:
+def associate(k: int, m: int, state: PreferenceState, matching: Matching) -> None:
     """Associate UE k with AP m and update lists and quotas.
 
     Requires positive remaining quota on both sides and no existing
@@ -135,14 +111,9 @@ def associate(k: int, m: int, state: PreferenceState, matching: Matching,
             if k in prefs:
                 prefs.remove(k)
         state.ue_prefs[k].clear()
-    if counters is not None:
-        counters.association_ops += 1
 
 
-def ea_initial_association(state: PreferenceState, config: ScenarioConfig,
-                           counters: GameCounters | None = None,
-                           trace: list | None = None
-                           ) -> tuple[Matching, UEPartition, PreferenceState]:
+def ea_initial_association(state: PreferenceState) -> Matching:
     """Build every UE's first cluster by early acceptance.
 
     Rounds run until one neither accepts a request nor moves a request
@@ -151,51 +122,36 @@ def ea_initial_association(state: PreferenceState, config: ScenarioConfig,
     the end of its shrunken list; the AP accepts immediately iff the UE
     ranks inside its remaining-quota window, otherwise the pointer
     advances.  UEs still unassociated when the rounds stop are
-    force-associated to the first AP left on their list, or declared
-    unassociated if none is left.
+    force-associated to the first AP left on their list; a UE with no
+    AP left stays unassociated.
     """
     num_ues = len(state.ue_prefs)
-    num_aps = len(state.ap_prefs)
-    matching = Matching.empty(num_ues, num_aps)
-    partition = UEPartition(rejected=set(range(num_ues)))
-    rejected = partition.rejected
+    matching = Matching.empty(num_ues, len(state.ap_prefs))
+    waiting = list(range(num_ues))
+    pointer = [0] * num_ues
 
-    while rejected:
-        accepted_any = False
-        advanced_any = False
-        for k in sorted(rejected):
+    while waiting:
+        rejected = []
+        advanced = False
+        for k in waiting:
             prefs = state.ue_prefs[k]
-            if not prefs:
-                continue
-            fresh = state.pointer[k] < len(prefs)
-            m = prefs[min(state.pointer[k], len(prefs) - 1)]
-            if k in state.ap_prefs[m][:state.ap_quota[m]]:
-                associate(k, m, state, matching, counters)
-                rejected.discard(k)
-                partition.associated.add(k)
-                accepted_any = True
-                if trace is not None:
-                    trace.append(("init", k, m))
+            m = prefs[min(pointer[k], len(prefs) - 1)] if prefs else None
+            if m is not None and k in state.ap_prefs[m][:state.ap_quota[m]]:
+                associate(k, m, state, matching)
             else:
-                state.pointer[k] += 1
-                advanced_any = advanced_any or fresh
-        if not accepted_any and not advanced_any:
+                advanced = advanced or pointer[k] < len(prefs)
+                pointer[k] += 1
+                rejected.append(k)
+        if len(rejected) == len(waiting) and not advanced:
             break
+        waiting = rejected
 
     # Forced association: whoever is still waiting takes the best AP
     # left on their list, regardless of the AP's own ranking.
-    for k in sorted(rejected):
-        prefs = state.ue_prefs[k]
-        if prefs:
-            m = prefs[0]
-            associate(k, m, state, matching, counters)
-            partition.associated.add(k)
-            if trace is not None:
-                trace.append(("init", k, m))
-        else:
-            partition.unassociated.add(k)
-    rejected.clear()
-    return matching, partition, state
+    for k in waiting:
+        if state.ue_prefs[k]:
+            associate(k, state.ue_prefs[k][0], state, matching)
+    return matching
 
 
 def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching,
@@ -308,17 +264,15 @@ class _GrowingScores:
         return w_m, ctx.cross[m][:, load] * (w_m - self.w[load, m])
 
 
-def cluster_evolution(state: PreferenceState, matching: Matching,
-                      partition: UEPartition, ctx: EvalContext, demands,
-                      config: ScenarioConfig, counters: GameCounters,
-                      trace: list | None = None) -> tuple[Matching, UEPartition]:
-    """Grow clusters of unsettled UEs until no favorable pair remains.
+def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalContext,
+                      demands, config: ScenarioConfig, counters: GameCounters) -> None:
+    """Grow unsettled UEs' clusters in place until no pair is favorable.
 
-    Each round first settles UEs that reached the threshold (satisfied)
-    or ran out of candidates (unsatisfied), then lets every remaining UE
-    scan the first min(remaining quota, list length) APs on its list and
-    commit the first favorable one.  The loop stops after a full round
-    without a commit; whoever is still unsettled ends up unsatisfied.
+    Every UE with a nonempty cluster starts unsettled.  Each round first
+    settles UEs that reached the threshold or ran out of candidates,
+    then lets every remaining UE scan the first min(remaining quota,
+    list length) APs on its list and commit the first favorable one.
+    The loop stops after a full round without a commit.
 
     Every decision is taken on batched kappa kept up to date commit by
     commit; one that falls within their error of its threshold is
@@ -326,25 +280,23 @@ def cluster_evolution(state: PreferenceState, matching: Matching,
     kappa 1 during a round fails its window tests without either.
     """
     demands = np.asarray(demands, dtype=float)
-    active = partition.associated
+    active = np.flatnonzero(matching.assoc.any(axis=1)).tolist()
     scores = _GrowingScores(ctx, matching, demands)
     threshold = config.satisfaction_threshold
 
     while active:
         tests_at_start = counters.favorable_tests
-        for k in sorted(active):
+        unsettled = []
+        for k in active:
             kappa = scores.kappa[k]
             # a saturated UE sits at exactly kappa 1, at or above any threshold
             if abs(kappa - threshold) <= SCREEN_MARGIN and not scores.saturated[k]:
                 kappa = scores.exact().kappa[k]
-            if kappa >= threshold:
-                active.discard(k)
-                partition.satisfied.add(k)
-            elif not state.ue_prefs[k]:
-                active.discard(k)
-                partition.unsatisfied.add(k)
+            if kappa < threshold and state.ue_prefs[k]:
+                unsettled.append(k)
+        active = unsettled
         committed = False
-        for k in sorted(active):
+        for k in active:
             window = state.ue_prefs[k][:state.ue_quota[k]]
             if not window:
                 continue
@@ -353,29 +305,24 @@ def cluster_evolution(state: PreferenceState, matching: Matching,
                                      current_eval=scores.exact,
                                      batched=(kappa, scores.kappa,
                                               scores.saturated[k])):
-                    associate(k, m, state, matching, counters)
+                    associate(k, m, state, matching)
                     scores.commit(m)
                     committed = True
-                    if trace is not None:
-                        trace.append(("evolve", k, m))
                     break
         counters.tests_per_round.append(counters.favorable_tests - tests_at_start)
         if not committed:
             break
 
-    for k in sorted(active):
-        partition.unsatisfied.add(k)
-    active.clear()
-    return matching, partition
 
+def ea_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
+    """Full game: preference build, initial association, cluster evolution.
 
-def ea_m2m(ctx: EvalContext, demands, config: ScenarioConfig,
-           trace: list | None = None) -> tuple[Matching, UEPartition, GameCounters]:
-    """Full game: preference build, initial association, cluster evolution."""
+    The game never removes an association, so association_ops is the
+    final matching's association count.
+    """
     state = build_preferences(ctx.channels.gains, config)
+    matching = ea_initial_association(state)
     counters = GameCounters()
-    matching, partition, state = ea_initial_association(state, config, counters,
-                                                        trace=trace)
-    matching, partition = cluster_evolution(state, matching, partition, ctx,
-                                            demands, config, counters, trace=trace)
-    return matching, partition, counters
+    cluster_evolution(state, matching, ctx, demands, config, counters)
+    counters.association_ops = matching.association_count()
+    return matching, counters

@@ -13,8 +13,7 @@ rounds also stopped by a scan for any acceptance still possible.
 
 import numpy as np
 
-from cfmatch import (GameCounters, Matching, UEPartition, associate,
-                     build_preferences)
+from cfmatch import GameCounters, Matching, associate, build_preferences
 
 
 def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands):
@@ -145,29 +144,28 @@ def reference_gca(ctx, demands, config):
     return assoc
 
 
-def reference_cluster_evolution(state, matching, partition, ctx, demands,
-                                config, counters, trace=None):
+def reference_cluster_evolution(state, matching, ctx, demands, config, counters,
+                                trace=None):
     """cluster_evolution with one full evaluate_assoc per favorable test.
 
     Same settling, scan order, window, favorable-pair rule and counters
     as the package's loop, with the current matching re-evaluated at
     every round start and after every commit and no batched scores, so
     any decision the batched scores take wrongly shows up as a
-    different result.
+    different result.  Every commit adds one to
+    counters.association_ops and, if trace is given, appends
+    ("evolve", k, m) to it.
     """
     demands = np.asarray(demands, dtype=float)
-    active = partition.associated
+    active = {k for k in range(matching.assoc.shape[0]) if matching.assoc[k].any()}
 
     while active:
         tests_at_start = counters.favorable_tests
         current = ctx.evaluate_assoc(matching.assoc, demands)
         for k in sorted(active):
-            if current.kappa[k] >= config.satisfaction_threshold:
+            if (current.kappa[k] >= config.satisfaction_threshold
+                    or not state.ue_prefs[k]):
                 active.discard(k)
-                partition.satisfied.add(k)
-            elif not state.ue_prefs[k]:
-                active.discard(k)
-                partition.unsatisfied.add(k)
         committed = False
         for k in sorted(active):
             window = min(state.ue_quota[k], len(state.ue_prefs[k]))
@@ -183,7 +181,8 @@ def reference_cluster_evolution(state, matching, partition, ctx, demands,
                 if (kappa[k] > current.kappa[k]
                         and float(kappa[served].sum())
                         >= float(current.kappa[served].sum())):
-                    associate(k, m, state, matching, counters)
+                    associate(k, m, state, matching)
+                    counters.association_ops += 1
                     current = ctx.evaluate_assoc(matching.assoc, demands)
                     committed = True
                     if trace is not None:
@@ -192,11 +191,6 @@ def reference_cluster_evolution(state, matching, partition, ctx, demands,
         counters.tests_per_round.append(counters.favorable_tests - tests_at_start)
         if not committed:
             break
-
-    for k in sorted(active):
-        partition.unsatisfied.add(k)
-    active.clear()
-    return matching, partition
 
 
 def reference_da_m2m(ctx, demands, config):
@@ -249,55 +243,57 @@ def reference_da_m2m(ctx, demands, config):
     return Matching.from_assoc(assoc), counters
 
 
-def reference_ea_initial_association(state, config, counters=None, trace=None):
+def reference_ea_initial_association(state, counters, trace=None):
     """ea_initial_association that stops its rounds as soon as no
     requesting UE sits in the remaining-quota window of any AP's list.
 
     Windows change only on an accept, so once the scan finds none no
     later round can accept; the package's loop runs on until no pointer
-    moves to a fresh place, and must give the same matching, partition,
-    trace, counters, lists and quotas (only pointers may differ).
+    moves to a fresh place, and must give the same matching, lists and
+    quotas.  Every association adds one to counters.association_ops
+    and, if trace is given, appends ("init", k, m) to it.  Returns the
+    matching and whether the scan, not the no-progress rule, ended the
+    rounds while some UE was still requesting.
     """
     num_ues, num_aps = len(state.ue_prefs), len(state.ap_prefs)
     matching = Matching.empty(num_ues, num_aps)
-    partition = UEPartition(rejected=set(range(num_ues)))
-    rejected = partition.rejected
+    rejected = set(range(num_ues))
+    pointer = [0] * num_ues
 
     def acceptance_possible():
         return any(k in rejected for m, prefs in enumerate(state.ap_prefs)
                    for k in prefs[:state.ap_quota[m]])
 
-    while rejected and acceptance_possible():
+    def commit(k, m):
+        associate(k, m, state, matching)
+        counters.association_ops += 1
+        if trace is not None:
+            trace.append(("init", k, m))
+
+    scan_stopped = False
+    while rejected:
+        if not acceptance_possible():
+            scan_stopped = any(state.ue_prefs[k] for k in rejected)
+            break
         accepted_any = False
         advanced_any = False
         for k in sorted(rejected):
             prefs = state.ue_prefs[k]
             if not prefs:
                 continue
-            fresh = state.pointer[k] < len(prefs)
-            m = prefs[min(state.pointer[k], len(prefs) - 1)]
+            fresh = pointer[k] < len(prefs)
+            m = prefs[min(pointer[k], len(prefs) - 1)]
             if k in state.ap_prefs[m][:state.ap_quota[m]]:
-                associate(k, m, state, matching, counters)
+                commit(k, m)
                 rejected.discard(k)
-                partition.associated.add(k)
                 accepted_any = True
-                if trace is not None:
-                    trace.append(("init", k, m))
             else:
-                state.pointer[k] += 1
+                pointer[k] += 1
                 advanced_any = advanced_any or fresh
         if not accepted_any and not advanced_any:
             break
 
     for k in sorted(rejected):
-        prefs = state.ue_prefs[k]
-        if prefs:
-            m = prefs[0]
-            associate(k, m, state, matching, counters)
-            partition.associated.add(k)
-            if trace is not None:
-                trace.append(("init", k, m))
-        else:
-            partition.unassociated.add(k)
-    rejected.clear()
-    return matching, partition, state
+        if state.ue_prefs[k]:
+            commit(k, state.ue_prefs[k][0])
+    return matching, scan_stopped

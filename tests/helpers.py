@@ -1,10 +1,13 @@
 """Shared builders and checkers for randomized test instances."""
 
+import sys
+
 import numpy as np
 
 from cfmatch import (ChannelRealization, ScenarioConfig, Matching, EvalContext,
                      build_preferences, associate,
                      generate_layout, realize_channels, draw_demands, substream)
+from cfmatch import matching as matching_module
 
 
 def small_config(num_aps, num_ues, antennas_per_ap=1, **overrides):
@@ -70,23 +73,30 @@ def records_by_strategy(records):
     return grouped
 
 
-def check_partition(partition, num_ues):
-    """All five sets disjoint and covering every UE."""
-    sets = partition.sets()
-    union = set()
-    total = 0
-    for s in sets:
-        union |= s
-        total += len(s)
-    assert union == set(range(num_ues))
-    assert total == num_ues
-
-
 def check_matching_valid(matching, config):
     """Definition-level validity: a (K, M) boolean matrix within quotas."""
     assert matching.assoc.dtype == bool
     assert matching.assoc.shape == (config.num_ues, config.num_aps)
     assert not matching.quota_violation(config.ap_quota, config.ue_quota)
+
+
+def record_commits(monkeypatch):
+    """Record every association the ea game commits from now on.
+
+    Wraps the module global cfmatch.matching.associate, which the game
+    calls, and returns the list it appends (phase, k, m) to: phase is
+    "evolve" for a call made inside cluster_evolution, "init" otherwise.
+    """
+    commits = []
+    associate = matching_module.associate
+
+    def recorded(k, m, state, matching):
+        caller = sys._getframe(1).f_code.co_name
+        commits.append(("evolve" if caller == "cluster_evolution" else "init", k, m))
+        associate(k, m, state, matching)
+
+    monkeypatch.setattr(matching_module, "associate", recorded)
+    return commits
 
 
 def replay_ea_trace(ctx, demands, config, trace, final_assoc):

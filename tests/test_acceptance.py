@@ -10,7 +10,7 @@ from cfmatch import (ScenarioConfig, EvalContext, run_episode, summarize,
 
 from bruteforce import reference_evaluate
 from helpers import (small_config, random_channels, random_demands,
-                     records_by_strategy, replay_ea_trace)
+                     record_commits, records_by_strategy, replay_ea_trace)
 
 SEEDS = (101, 102, 103, 104, 105)
 STRATS = ["ea", "bc", "md", "da"]
@@ -97,7 +97,7 @@ def test_05_constraint_suite():
                                           int(rng.integers(1, 3))), cfg)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
         matchings = {}
-        matchings["ea"], _, _ = ea_m2m(ctx, demands, cfg)
+        matchings["ea"], _ = ea_m2m(ctx, demands, cfg)
         da, counters = da_m2m(ctx, demands, cfg)
         matchings["da"] = da
         matchings["da-smp"] = swap_matching(da, ctx, demands, cfg, counters)
@@ -118,7 +118,8 @@ def test_05_constraint_suite():
             ok, f"{checked} matchings over 1000 instances")
 
 
-def test_06_favorable_pair_soundness():
+def test_06_favorable_pair_soundness(monkeypatch):
+    trace = record_commits(monkeypatch)
     rng = np.random.default_rng(606)
     commits = 0
     instances = 0
@@ -133,8 +134,8 @@ def test_06_favorable_pair_soundness():
                           satisfaction_threshold=float(rng.choice([0.8, 0.9, 1.0])))
         ctx = EvalContext(random_channels(rng, num_ues, num_aps, 1), cfg)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        trace = []
-        m, _, _ = ea_m2m(ctx, demands, cfg, trace=trace)
+        trace.clear()
+        m, _ = ea_m2m(ctx, demands, cfg)
         try:
             commits += replay_ea_trace(ctx, demands, cfg, trace, m.assoc)
         except AssertionError:

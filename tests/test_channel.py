@@ -59,6 +59,14 @@ def test_config_rejects_bad_values():
     ("num_steps", 2.5),
     ("num_steps", 2.0),
     ("seed", 1.5),
+    ("max_power", math.inf),
+    ("bandwidth", math.inf),
+    ("carrier_freq", math.inf),
+    ("noise_var", math.inf),
+    ("timestep_duration", math.inf),
+    ("pathloss_exp", math.inf),
+    ("shadow_var", math.inf),
+    ("ue_speed", math.inf),
 ])
 def test_config_rejects_nan_infinite_and_fractional(name, value):
     with pytest.raises(ValueError, match=name):

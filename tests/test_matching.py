@@ -6,14 +6,15 @@ import pytest
 from cfmatch import (Matching, build_preferences, associate,
                      ea_initial_association, is_favorable_pair,
                      cluster_evolution, ea_m2m, get_strategy, STRATEGIES,
-                     GameCounters, UEPartition, EvalContext)
+                     GameCounters, EvalContext)
 from cfmatch import matching as matching_module
 from cfmatch.matching import _GrowingScores
 
 from bruteforce import reference_cluster_evolution, reference_ea_initial_association
 from helpers import (small_config, random_channels, channels_from_vectors,
-                     random_demands, check_partition, check_matching_valid,
+                     random_demands, check_matching_valid, record_commits,
                      replay_ea_trace, seeded_scene)
+from make_golden import tie_scene
 
 
 def test_preferences_sorted_by_gain_desc():
@@ -28,7 +29,6 @@ def test_preferences_sorted_by_gain_desc():
     assert state.ap_prefs[2] == [0, 1]
     assert state.ue_quota == [3, 3]
     assert state.ap_quota == [2, 2, 2]
-    assert state.pointer == [0, 0]
 
 
 def test_preferences_full_length_at_defaults():
@@ -88,28 +88,15 @@ def test_associate_contract_errors():
         associate(0, 0, state, m)  # repeat
 
 
-def test_associate_counts_operations():
-    gains = np.array([[2.0, 1.0], [1.5, 0.5]])
-    cfg = small_config(2, 2, ap_quota=2, ue_quota=2)
-    state = build_preferences(gains, cfg)
-    m = Matching.empty(2, 2)
-    counters = GameCounters()
-    associate(0, 0, state, m, counters)
-    associate(1, 1, state, m, counters)
-    assert counters.association_ops == 2
-
-
 def test_initial_association_single_pair():
     gains = np.array([[1.0]])
     cfg = small_config(1, 1)
     state = build_preferences(gains, cfg)
-    m, part, state = ea_initial_association(state, cfg)
+    m = ea_initial_association(state)
     assert m.assoc[0, 0]
-    assert part.associated == {0}
-    assert part.rejected == set()
 
 
-def test_initial_association_clamped_pointer_round_two():
+def test_initial_association_clamped_pointer_round_two(monkeypatch):
     # both UEs prefer AP 0; AP 0 (quota 1) prefers UE 1, AP 1 prefers
     # UE 0.  Round 1: UE 0 rejected at AP 0, UE 1 accepted there, AP 0
     # saturates and drops off UE 0's list.  Round 2: UE 0's pointer (1)
@@ -118,15 +105,14 @@ def test_initial_association_clamped_pointer_round_two():
                       [1.0, 0.7]])
     cfg = small_config(2, 2, ap_quota=1, ue_quota=1)
     state = build_preferences(gains, cfg)
-    trace = []
-    m, part, state = ea_initial_association(state, cfg, trace=trace)
-    assert trace == [("init", 1, 0), ("init", 0, 1)]
+    commits = record_commits(monkeypatch)
+    m = ea_initial_association(state)
+    assert commits == [("init", 1, 0), ("init", 0, 1)]
     expected = np.array([[False, True], [True, False]])
     np.testing.assert_array_equal(m.assoc, expected)
-    assert part.associated == {0, 1}
 
 
-def test_initial_association_forced_branch():
+def test_initial_association_forced_branch(monkeypatch):
     # UE 1's only remaining AP ranks it outside the quota window while
     # the window holder (UE 0, already associated, quota left) never
     # requests again: the rounds stall and UE 1 takes the AP by forced
@@ -135,27 +121,25 @@ def test_initial_association_forced_branch():
                       [9.0, 1.0]])
     cfg = small_config(2, 2, ap_quota=1, ue_quota=2)
     state = build_preferences(gains, cfg)
-    trace = []
-    m, part, state = ea_initial_association(state, cfg, trace=trace)
+    commits = record_commits(monkeypatch)
+    m = ea_initial_association(state)
     expected = np.array([[True, False], [False, True]])
     np.testing.assert_array_equal(m.assoc, expected)
-    assert part.associated == {0, 1}
-    assert trace == [("init", 0, 0), ("init", 1, 1)]
+    assert commits == [("init", 0, 0), ("init", 1, 1)]
 
 
 def test_initial_association_no_aps():
     cfg = small_config(1, 2)  # quota fields only; dims come from gains
     state = build_preferences(np.zeros((2, 0)), cfg)
-    m, part, state = ea_initial_association(state, cfg)
-    assert m.association_count() == 0
-    assert part.unassociated == {0, 1}
-    assert part.associated == set()
+    m = ea_initial_association(state)
+    assert m.assoc.shape == (2, 0)
 
 
-def test_initial_association_matches_reference_stopping_scan():
+def test_initial_association_matches_reference_stopping_scan(monkeypatch):
     # the rounds stop on their own no-progress rule; the reference also
     # stops once no acceptance is possible, which must change nothing
-    # but how far the request pointers end up
+    # but how many rounds run
+    commits = record_commits(monkeypatch)
     rng = np.random.default_rng(97)
     stopped_early = 0
     for scene in range(600):
@@ -167,17 +151,16 @@ def test_initial_association_matches_reference_stopping_scan():
             gains = rng.integers(1, 4, size=(num_ues, num_aps)).astype(float)
         else:
             gains = 10.0 ** rng.uniform(-9.0, -6.0, size=(num_ues, num_aps))
-        runs = []
-        for initial in (ea_initial_association, reference_ea_initial_association):
-            counters, trace = GameCounters(), []
-            m, part, state = initial(build_preferences(gains, cfg), cfg, counters,
-                                     trace=trace)
-            runs.append((m.assoc, part.sets(), trace, counters, state.ue_prefs,
-                         state.ap_prefs, state.ue_quota, state.ap_quota, state.pointer))
-        (assoc, *rest, pointer), (ref_assoc, *ref_rest, ref_pointer) = runs
-        np.testing.assert_array_equal(assoc, ref_assoc, err_msg=f"scene {scene}")
-        assert rest == ref_rest, f"scene {scene}"
-        stopped_early += pointer != ref_pointer
+        state, ref_state = build_preferences(gains, cfg), build_preferences(gains, cfg)
+        commits.clear()
+        m = ea_initial_association(state)
+        counters, trace = GameCounters(), []
+        ref, scan_stopped = reference_ea_initial_association(ref_state, counters, trace)
+        np.testing.assert_array_equal(m.assoc, ref.assoc, err_msg=f"scene {scene}")
+        assert commits == trace, f"scene {scene}"
+        assert counters.association_ops == m.association_count(), f"scene {scene}"
+        assert state == ref_state, f"scene {scene}"
+        stopped_early += scan_stopped
     assert stopped_early > 0  # the reference's scan did cut some rounds short
 
 
@@ -191,11 +174,10 @@ def test_initial_association_single_ap_per_ue():
                           ue_quota=int(rng.integers(1, num_aps + 1)))
         ch = random_channels(rng, num_ues, num_aps, 1)
         state = build_preferences(ch.gains, cfg)
-        m, part, state = ea_initial_association(state, cfg)
+        m = ea_initial_association(state)
         assert (m.assoc.sum(axis=1) <= 1).all()
-        assert part.rejected == set()
-        assert part.satisfied == set() and part.unsatisfied == set()
-        check_partition(part, num_ues)
+        # a UE is left unassociated only once its list is empty
+        assert all(m.assoc[k].any() or not state.ue_prefs[k] for k in range(num_ues))
         check_matching_valid(m, cfg)
         # remaining quotas track cluster sizes exactly
         assert state.ue_quota == list(cfg.ue_quota - m.assoc.sum(axis=1))
@@ -300,28 +282,23 @@ def test_evolution_all_satisfied_adds_nothing():
     state = build_preferences(ch.gains, cfg)
     m = Matching.empty(1, 2)
     associate(0, 0, state, m)
-    part = UEPartition(associated={0})
+    ctx = EvalContext(ch, cfg)
     demands = np.array([1.0])
     counters = GameCounters()
-    m, part = cluster_evolution(state, m, part, EvalContext(ch, cfg), demands, cfg,
-                                counters)
-    assert part.satisfied == {0}
+    cluster_evolution(state, m, ctx, demands, cfg, counters)
+    assert ctx.evaluate_assoc(m.assoc, demands).kappa[0] >= cfg.satisfaction_threshold
     assert m.association_count() == 1
     assert counters.favorable_tests == 0
 
 
-def test_evolution_adds_favorable_ap_then_settles():
+def test_evolution_adds_favorable_ap_then_settles(monkeypatch):
     ctx, cfg, state, m = _favorable_fixture()
-    part = UEPartition(associated={0})
     demands = np.array([1e9])
     counters = GameCounters()
-    trace = []
-    m, part = cluster_evolution(state, m, part, ctx, demands, cfg, counters,
-                                trace=trace)
-    assert ("evolve", 0, 1) in trace
+    commits = record_commits(monkeypatch)
+    cluster_evolution(state, m, ctx, demands, cfg, counters)
+    assert commits == [("evolve", 0, 1)]
     assert m.assoc[0, 1]
-    check_partition(part, 1)
-    assert part.associated == set()
     assert counters.favorable_tests >= 1
     assert counters.tests_per_round
 
@@ -335,13 +312,10 @@ def test_evolution_no_favorable_pair_leaves_unsatisfied():
     # make UE 1's side also unable to improve: demands already arranged
     # so that any addition for UE 0 hurts the sum; UE 1 gets the same
     # treatment by dropping its remaining candidates
-    part = UEPartition(associated={0, 1})
     counters = GameCounters()
     before = ctx.evaluate_assoc(m.assoc, demands)
-    m, part = cluster_evolution(state, m, part, ctx, demands, cfg, counters)
+    cluster_evolution(state, m, ctx, demands, cfg, counters)
     after = ctx.evaluate_assoc(m.assoc, demands)
-    check_partition(part, 2)
-    assert part.associated == set()
     # nobody may end up worse than where evolution started
     assert (after.kappa >= before.kappa - 1e-15).all()
 
@@ -354,11 +328,10 @@ def test_evolution_satisfaction_classified_before_scanning():
     state = build_preferences(ch.gains, cfg)
     m = Matching.empty(1, 2)
     associate(0, 0, state, m)
-    part = UEPartition(associated={0})
+    ctx = EvalContext(ch, cfg)
     counters = GameCounters()
-    m, part = cluster_evolution(state, m, part, EvalContext(ch, cfg), np.array([1.0]),
-                                cfg, counters)
-    assert part.satisfied == {0}
+    cluster_evolution(state, m, ctx, np.array([1.0]), cfg, counters)
+    assert ctx.evaluate_assoc(m.assoc, np.array([1.0])).kappa[0] >= 0.8
     assert counters.favorable_tests == 0
 
 
@@ -368,9 +341,8 @@ def test_ea_m2m_respects_quotas_at_scale():
     rng = np.random.default_rng(2)
     ch = random_channels(rng, 20, 50, 4)
     demands = random_demands(rng, cfg)
-    m, part, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
+    m, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
     check_matching_valid(m, cfg)
-    check_partition(part, 20)
     assert (m.assoc.sum(axis=0) <= 12).all()
     assert (m.assoc.sum(axis=1) <= 8).all()
     assert m.association_count() <= min(50 * 12, 20 * 8)
@@ -388,25 +360,16 @@ def test_ea_m2m_randomized_structure():
                           satisfaction_threshold=float(rng.choice([0.8, 0.9, 1.0])))
         ch = random_channels(rng, num_ues, num_aps, int(rng.integers(1, 3)))
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        m, part, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
+        m, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
         check_matching_valid(m, cfg)
-        check_partition(part, num_ues)
-        assert part.rejected == set() and part.associated == set()
         assert m.association_count() <= min(num_aps * cfg.ap_quota,
                                             num_ues * cfg.ue_quota)
         # per-round favorable tests bounded by quota * K
         assert all(t <= cfg.ue_quota * num_ues for t in counters.tests_per_round)
-        # a UE settles as satisfied at its classification moment; later
-        # commits by others may dip it again, so only structural facts
-        # are checked on the final matching
-        cluster_sizes = m.assoc.sum(axis=1)
-        for k in part.unassociated:
-            assert cluster_sizes[k] == 0
-        for k in part.satisfied | part.unsatisfied:
-            assert cluster_sizes[k] >= 1
 
 
-def test_ea_m2m_trace_replay_validates_commits():
+def test_ea_m2m_trace_replay_validates_commits(monkeypatch):
+    commits = record_commits(monkeypatch)
     rng = np.random.default_rng(57)
     total_commits = 0
     for _ in range(25):
@@ -418,10 +381,10 @@ def test_ea_m2m_trace_replay_validates_commits():
                           noise_var=1e-6)
         ch = random_channels(rng, num_ues, num_aps, 1)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        trace = []
         ctx = EvalContext(ch, cfg)
-        m, part, counters = ea_m2m(ctx, demands, cfg, trace=trace)
-        total_commits += replay_ea_trace(ctx, demands, cfg, trace, m.assoc)
+        commits.clear()
+        m, counters = ea_m2m(ctx, demands, cfg)
+        total_commits += replay_ea_trace(ctx, demands, cfg, commits, m.assoc)
     assert total_commits > 0  # the loop actually exercised evolution
 
 
@@ -434,30 +397,32 @@ def test_ea_m2m_accepts_prebuilt_context():
     shared = EvalContext(ch, cfg)
     for name in STRATEGIES:
         get_strategy(name)(shared, demands, cfg)
-    a, _, _ = ea_m2m(EvalContext(ch, cfg), demands, cfg)
-    b, _, _ = ea_m2m(shared, demands, cfg)
+    a, _ = ea_m2m(EvalContext(ch, cfg), demands, cfg)
+    b, _ = ea_m2m(shared, demands, cfg)
     np.testing.assert_array_equal(a.assoc, b.assoc)
 
 
 def _evolution_start(cfg, ctx):
-    """(state, matching, partition, counters) after the initial phase."""
+    """(state, matching, counters) after the initial phase; counters
+    holds the initial phase's association count."""
     state = build_preferences(ctx.channels.gains, cfg)
-    counters = GameCounters()
-    matching, partition, state = ea_initial_association(state, cfg, counters)
-    return state, matching, partition, counters
+    matching = ea_initial_association(state)
+    return state, matching, GameCounters(association_ops=matching.association_count())
 
 
-def _evolve_both(cfg, ctx, demands):
+def _evolve_both(cfg, ctx, demands, commits):
     """cluster_evolution and reference_cluster_evolution from one start,
-    each as (assoc, trace, counters, partition sets)."""
-    start = _evolution_start(cfg, ctx)
-    runs = []
-    for evolve in (cluster_evolution, reference_cluster_evolution):
-        state, matching, partition, counters = copy.deepcopy(start)
-        trace = []
-        evolve(state, matching, partition, ctx, demands, cfg, counters, trace=trace)
-        runs.append((matching.assoc, trace, counters, partition.sets()))
-    return runs
+    each as (assoc, evolve commits, counters).  commits is the list
+    record_commits fills; the package's association_ops is set from its
+    final matching as ea_m2m does, the reference counts its own."""
+    state, matching, counters = _evolution_start(cfg, ctx)
+    ref_state, ref_matching, ref_counters = copy.deepcopy((state, matching, counters))
+    commits.clear()
+    cluster_evolution(state, matching, ctx, demands, cfg, counters)
+    counters.association_ops = matching.association_count()
+    trace = []
+    reference_cluster_evolution(ref_state, ref_matching, ctx, demands, cfg, ref_counters, trace)
+    return (matching.assoc, list(commits), counters), (ref_matching.assoc, trace, ref_counters)
 
 
 @pytest.mark.parametrize("num_ues, num_aps, num_seeds", [
@@ -466,9 +431,10 @@ def _evolve_both(cfg, ctx, demands):
     (30, 60, 5),
     (70, 140, 2),
 ])
-def test_cluster_evolution_matches_reference_loop(num_ues, num_aps, num_seeds):
+def test_cluster_evolution_matches_reference_loop(monkeypatch, num_ues, num_aps, num_seeds):
     # batched scores may only decide a test the way the exact evaluator
-    # would, so every commit, count and settlement must be the same
+    # would, so every commit and count must be the same
+    recorded = record_commits(monkeypatch)
     rng = np.random.default_rng(num_ues)
     commits = 0
     for seed in range(700, 700 + num_seeds):
@@ -477,9 +443,9 @@ def test_cluster_evolution_matches_reference_loop(num_ues, num_aps, num_seeds):
             satisfaction_threshold=(0.8, 0.9, 1.0)[seed % 3],
             ap_quota=int(rng.integers(1, num_ues + 1)),
             ue_quota=int(rng.integers(1, num_aps + 1)))
-        (assoc, trace, counters, sets), expected = _evolve_both(cfg, ctx, demands)
+        (assoc, trace, counters), expected = _evolve_both(cfg, ctx, demands, recorded)
         np.testing.assert_array_equal(assoc, expected[0], err_msg=f"seed {seed}")
-        assert (trace, counters, sets) == expected[1:], f"seed {seed}"
+        assert (trace, counters) == expected[1:], f"seed {seed}"
         commits += len(trace)
     assert commits > 0
 
@@ -495,14 +461,15 @@ def test_cluster_evolution_exact_rechecks_match_reference_loop(monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(matching_module, "SCREEN_MARGIN", 1.0)
+    recorded = record_commits(monkeypatch)
     for seed in range(720, 735):
         cfg, ctx, demands = seeded_scene(10, 25, seed,
                                          satisfaction_threshold=(0.8, 0.9, 1.0)[seed % 3])
         monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
-        (assoc, trace, counters, sets), expected = _evolve_both(cfg, ctx, demands)
+        (assoc, trace, counters), expected = _evolve_both(cfg, ctx, demands, recorded)
         monkeypatch.setattr(EvalContext, "evaluate_assoc", original)
         np.testing.assert_array_equal(assoc, expected[0], err_msg=f"seed {seed}")
-        assert (trace, counters, sets) == expected[1:], f"seed {seed}"
+        assert (trace, counters) == expected[1:], f"seed {seed}"
     assert len(calls) > 0
 
 
@@ -517,7 +484,7 @@ def test_growing_scores_match_exact_evaluation(num_ues, num_aps):
     saturated = 0
     for seed in range(750, 753):
         cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed)
-        state, matching, _, _ = _evolution_start(cfg, ctx)
+        state, matching, _ = _evolution_start(cfg, ctx)
         scores = _GrowingScores(ctx, matching, demands)
         while True:
             exact = ctx.evaluate_assoc(matching.assoc, demands).kappa
@@ -546,7 +513,7 @@ def test_growing_scores_match_exact_evaluation(num_ues, num_aps):
 
 def test_ea_evaluates_exactly_only_near_ties(monkeypatch):
     cfg, ctx, demands = seeded_scene(30, 60, seed=31, satisfaction_threshold=1.0)
-    expected = _evolve_both(cfg, ctx, demands)[1]
+    expected = _evolve_both(cfg, ctx, demands, [])[1]
     calls = []
     original_eval = EvalContext.evaluate_assoc
 
@@ -555,7 +522,7 @@ def test_ea_evaluates_exactly_only_near_ties(monkeypatch):
         return original_eval(self, *args)
 
     monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
-    out, _, counters = ea_m2m(ctx, demands, cfg)
+    out, counters = ea_m2m(ctx, demands, cfg)
     np.testing.assert_array_equal(out.assoc, expected[0])
     assert counters == expected[2]
     # evaluating every test and every matching would take one call per
@@ -566,3 +533,22 @@ def test_ea_evaluates_exactly_only_near_ties(monkeypatch):
     # exact kappa 1 cannot strictly improve, so nothing is left to
     # re-check exactly: an undecided test would call evaluate_assoc
     assert len(calls) == 0
+
+
+def test_association_ops_is_the_association_count():
+    # the game never removes an association, so ea_m2m reads its count
+    # off the final matrix; the reference phases count one per associate
+    scenes = [seeded_scene(num_ues, num_aps, seed,
+                           satisfaction_threshold=(0.8, 0.9, 1.0)[seed % 3],
+                           ap_quota=(2, 4, num_ues)[seed % 3], ue_quota=(1, 3, 8)[seed % 3])
+              for num_ues, num_aps in ((5, 8), (10, 25)) for seed in range(760, 766)]
+    scenes += [tie_scene("dup-aps"), tie_scene("dup-pairs")]
+    for cfg, ctx, demands in scenes:
+        matching, counters = ea_m2m(ctx, demands, cfg)
+        reference = GameCounters()
+        state = build_preferences(ctx.channels.gains, cfg)
+        ref, _ = reference_ea_initial_association(state, reference)
+        reference_cluster_evolution(state, ref, ctx, demands, cfg, reference)
+        np.testing.assert_array_equal(ref.assoc, matching.assoc)
+        assert counters.association_ops == matching.association_count()
+        assert counters.association_ops == reference.association_ops
