@@ -48,7 +48,8 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, Ga
 
     A drop leaves every other AP's power share, so amplitudes are built
     once and each drop subtracts its AP's slab.  Each round screens every
-    drop; the exact evaluator alone decides among those that might win.
+    drop.  A round whose winner the screen proves is committed with no
+    exact evaluation; the exact evaluator decides only near ties.
     """
     gains = ctx.channels.gains
     floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
@@ -57,24 +58,43 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, Ga
     def min_se(a: np.ndarray) -> float:
         return float(np.log2(1.0 + ctx.evaluate_assoc(a, demands).sinr).min())
 
-    current = min_se(assoc)
     weight = (assoc * (np.sqrt(ctx.power_share(assoc)) * ctx.inv_denom)).T.astype(complex)
     amp = ctx.amplitudes(weight.T)
+    # the running minimum of the exact rule, None while it equals
+    # min_se(assoc); estimate is the batched one, within 1e-12 of it
+    current = None
+    estimate = float(np.log2(1.0 + ctx.score_amplitudes(amp, 1.0)[0]).min())
     # drops are scored in blocks of about 512 KB, which stay in L2 cache
     block = np.empty((min(ctx.num_aps, 2 ** 19 // amp.nbytes + 1),) + amp.shape, complex)
     while True:
-        best_gain, best_m = 0.0, None
-        for m in np.flatnonzero(_may_win(_drop_gains(ctx, amp, weight, block, current))):
-            gain = min_se(assoc & (np.arange(ctx.num_aps) != m)) - current
-            if gain > best_gain:
-                best_gain = gain
-                best_m = int(m)
-        if best_m is None:
+        gain = _drop_gains(ctx, amp, weight, block, estimate)
+        survivors = np.flatnonzero(_may_win(gain))
+        if survivors.size == 0:
             break
+        best_m = int(survivors[0])
+        # a lone survivor clear of 0 is the exact rule's pick; while the new
+        # minimum is at most twice the old, the exact rule's running sum
+        # lands on it exactly (Sterbenz), so current is min_se(assoc) again
+        if (survivors.size == 1 and gain[best_m] > SCREEN_MARGIN
+                and estimate + gain[best_m] + SCREEN_MARGIN <= 2 * (estimate - SCREEN_MARGIN)):
+            current = None
+            estimate += float(gain[best_m])
+        else:
+            if current is None:
+                current = min_se(assoc)
+            best_gain, best_m = 0.0, None
+            for m in survivors:
+                exact = min_se(assoc & (np.arange(ctx.num_aps) != m)) - current
+                if exact > best_gain:
+                    best_gain = exact
+                    best_m = int(m)
+            if best_m is None:
+                break
+            current += best_gain
+            estimate = current
         assoc[:, best_m] = False
         amp -= ctx.cross[best_m] * weight[best_m]
         weight[best_m] = 0.0
-        current += best_gain
     return Matching.from_assoc(assoc), GameCounters()
 
 

@@ -24,7 +24,10 @@ from .channel import ChannelRealization, ScenarioConfig
 
 # Batched scores (kappa of a trade or an add, min spectral efficiency of
 # a drop) agree with evaluate_assoc within 1e-12, so a screen this much
-# looser than an exact rule never decides a candidate the other way.
+# looser than an exact rule never decides a candidate the other way.  A
+# candidate that clears the rule by more than this is decided by the
+# screen alone (ea's favorable test, gca's drops); the exact evaluator
+# decides only near ties.
 SCREEN_MARGIN = 1e-9
 
 # APs whose Gram matrices one batched matmul writes into the cache:

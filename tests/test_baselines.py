@@ -478,31 +478,125 @@ def test_gca_confirms_only_screen_survivors(monkeypatch):
     cfg, ctx, demands = seeded_scene(30, 60, seed=960)
     expected = reference_gca(ctx, demands, cfg)
     calls = []
+    rounds = []  # (exact calls made before the round, its screen's estimate)
     survivors = []
+    certified = []  # rounds the screen proves, by gca's own rule
     original_eval = EvalContext.evaluate_assoc
+    original_gains = baselines._drop_gains
     original_screen = baselines._may_win
 
     def counted(self, *args):
         calls.append(args)
         return original_eval(self, *args)
 
+    def gains(ctx, amp, weight, block, current):
+        rounds.append((len(calls), current))
+        return original_gains(ctx, amp, weight, block, current)
+
     def screen(gain):
         mask = original_screen(gain)
         survivors.append(int(np.count_nonzero(mask)))
+        estimate = rounds[-1][1]
+        certified.append(survivors[-1] == 1 and gain[mask][0] > SCREEN_MARGIN
+                         and estimate + gain[mask][0] + SCREEN_MARGIN
+                         <= 2 * (estimate - SCREEN_MARGIN))
         return mask
 
     monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
+    monkeypatch.setattr(baselines, "_drop_gains", gains)
     monkeypatch.setattr(baselines, "_may_win", screen)
     out, _ = gca(ctx, demands, cfg)
     np.testing.assert_array_equal(out.assoc, expected)
     drops = int(np.count_nonzero(_gca_seed(ctx, cfg).any(axis=0))
                 - np.count_nonzero(out.assoc.any(axis=0)))
-    # one round per drop plus the last; one exact call to start, one per survivor
+    # one round per drop plus the last
     assert drops > 0
     assert len(survivors) == drops + 1
-    assert len(calls) == 1 + sum(survivors)
     # no near ties here: only each round's winner survives, none in the last
     assert sum(survivors) == drops
+    # the screen proves every round but one, which the running minimum's
+    # doubling guard leaves to the exact evaluator: it evaluates the
+    # current matching once and confirms the lone survivor once
+    assert sum(certified) == drops - 1
+    assert len(calls) == 2
+    made = np.diff([before for before, _ in rounds] + [len(calls)])
+    assert not made[np.array(certified)].any()
+
+
+def _lone_zero_gain_scene():
+    """(config, context, demands) of a 2x3 scene whose first gca round
+    has one screen survivor, at a gain of exactly 0: UE 0 (the worst,
+    served by AP 0) and UE 1 (APs 1 and 2) use orthogonal antenna axes,
+    so no beam reaches the other UE.  Dropping the weak AP 2 leaves the
+    minimum as it is; every other drop lowers it."""
+    vectors = np.zeros((2, 3, 2), complex)
+    vectors[0, :, 0] = [1e-3, 1e-6, 1e-6]
+    vectors[1, :, 1] = [1e-6, 3e-3, 3e-4]
+    cfg = small_config(3, 2, antennas_per_ap=2)
+    return cfg, EvalContext(channels_from_vectors(vectors), cfg), _demands(2)
+
+
+@pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (10, 25), (30, 60)])
+def test_gca_certified_rounds_are_exact(monkeypatch, num_ues, num_aps):
+    # replays gca's trajectory with one exact evaluation per active drop.
+    # A round that ran no evaluate_assoc must be one the exact rule decides
+    # the same way: the winner strictly raises the running minimum and beats
+    # every other drop, and the running sum lands on the winner's minimum
+    # bit for bit, so a later round may take min_se of the matching for it.
+    # A last round without evaluations must see no drop raise the minimum.
+    scenes = [seeded_scene(num_ues, num_aps, seed) for seed in range(970, 974)]
+    if num_aps == 8:
+        scenes += [tie_scene("dup-aps"), tie_scene("dup-pairs"), _lone_zero_gain_scene()]
+    original_eval = EvalContext.evaluate_assoc
+    original_gains = baselines._drop_gains
+    calls = 0
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return original_eval(self, *args)
+
+    def gains(ctx, amp, weight, block, current):
+        # weight[m, j] is nonzero exactly where AP m serves UE j
+        rounds.append(((weight != 0).T, calls))
+        return original_gains(ctx, amp, weight, block, current)
+
+    monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
+    monkeypatch.setattr(baselines, "_drop_gains", gains)
+    certified = 0
+    for cfg, ctx, demands in scenes:
+        rounds = []
+        out, _ = gca(ctx, demands, cfg)
+        rounds.append((out.assoc, calls))
+
+        def min_se(a):
+            return float(np.log2(1.0 + original_eval(ctx, a, demands).sinr).min())
+
+        current = min_se(rounds[0][0])
+        for (assoc, before), (after_assoc, after) in zip(rounds, rounds[1:]):
+            ms = {}
+            for m in np.flatnonzero(assoc.any(axis=0)):
+                trial = assoc.copy()
+                trial[:, m] = False
+                ms[m] = min_se(trial)
+            dropped = np.flatnonzero(assoc.any(axis=0) & ~after_assoc.any(axis=0))
+            if after > before:
+                # decided by the exact evaluator; the running sum as in reference_gca
+                if dropped.size:
+                    current += ms[dropped[0]] - current
+                continue
+            if not dropped.size:
+                assert all(v < current for v in ms.values())
+                continue
+            certified += 1
+            (winner,) = dropped
+            best = ms.pop(winner)
+            assert best > current
+            assert all(v < best for v in ms.values())
+            assert best <= 2 * current
+            assert current + (best - current) == best
+            current = best
+    assert certified > 0
 
 
 def test_registry_contents():
