@@ -84,6 +84,8 @@ class ScenarioConfig:
             raise ValueError(f"satisfaction_threshold must be in [0, 1], got {v!r}")
         if not (_positive_finite(self.area) and len(self.area) == 2):
             raise ValueError(f"area must be two positive finite lengths, got {self.area!r}")
+        if self.ue_speed * self.timestep_duration > 1e4 * float(np.hypot(*self.area)):
+            raise ValueError(f"ue_speed covers over 1e4 area diagonals a step, got {self.ue_speed!r}")
         if not (_positive_finite(self.demand_set) and self.demand_set):
             raise ValueError(
                 f"demand_set must be nonempty with positive finite rates, got {self.demand_set!r}")

@@ -143,7 +143,10 @@ class EvalContext:
         diag = abs2.reshape(abs2.shape[:-2] + (k * k,))[..., ::k + 1]
         signal = diag.copy()
         diag[...] = 0.0
-        interference = abs2.sum(axis=-1)
+        return self.score_powers(signal, abs2.sum(axis=-1), demands)
+
+    def score_powers(self, signal: np.ndarray, interference: np.ndarray, demands: np.ndarray):
+        """(sinr, rate, kappa) from received signal and interference powers."""
         sinr = signal / (interference + self.noise_var)
         rate = self.bandwidth * np.log2(1.0 + sinr)
         kappa = np.minimum(1.0, rate / demands)

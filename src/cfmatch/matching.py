@@ -18,14 +18,14 @@ and both quotas, and a player whose quota hits zero disappears from all
 lists (including its own), so quotas can never be exceeded.
 
 The evolution phase is delta-scored.  Adding AP m to UE k changes only
-AP m's power share, so the amplitudes of the current matching are kept
-up to date commit by commit, and one batched pass scores every AP in a
-UE's window at O(K^2) each instead of a full O(K^2 M) evaluation.  A
-decision those batched values take by more than their error (about
-1e-12, against a SCREEN_MARGIN of 1e-9) stands; a near-tie is
-re-checked by the exact evaluator on the trial and the current
-matching, so no comparison is loosened and every outcome is that of
-one exact evaluation per test.
+AP m's power share and so only the c = |load m| + 1 columns of the
+current amplitudes; those are kept up to date commit by commit, and one
+batched pass scores every AP in a UE's window at O(K·c) each instead of
+a full O(K^2 M) evaluation.  A decision those batched values take by
+more than their error (about 1e-12, against a SCREEN_MARGIN of 1e-9)
+stands; a near-tie is re-checked by the exact evaluator on the trial
+and the current matching, so no comparison is loosened and every
+outcome is that of one exact evaluation per test.
 """
 
 from __future__ import annotations
@@ -210,27 +210,31 @@ class _GrowingScores:
     """Batched kappa of a matching that grows one association at a time.
 
     Holds evaluate_assoc's beam weights w[j, m] and amplitudes amp[k, j]
-    (what UE j's beams deliver at UE k) for the current matching.  An
-    add of (k, m) changes only AP m's power share, so only the columns
-    of amp for AP m's load, k included, move, each by one cross term.
-    The current kappa and the kappa after any candidate add then cost
-    O(K^2) each instead of evaluate_assoc's O(K^2 M), and agree with it
-    within 1e-12.  saturated marks the UEs whose exact kappa is surely
-    1.  exact() is evaluate_assoc of the current matching, computed at
-    most once per matching.
+    (what UE j's beams deliver at UE k) for the current matching, with
+    |amp|^2 split into signal (the diagonal), the off-diagonal power and
+    its row sums, the interference.  An add to AP m moves only the c
+    columns of its new load, so a candidate add costs O(K·c), and its
+    kappa is within 1e-12 of evaluate_assoc's; a commit rewrites those
+    columns and sums the rows afresh, so no rounding builds up.
+    saturated marks the UEs whose exact kappa is surely 1.  exact() is
+    evaluate_assoc of the current matching, computed at most once.
     """
 
     def __init__(self, ctx: EvalContext, matching: Matching, demands: np.ndarray):
-        self.ctx = ctx
-        self.matching = matching
-        self.demands = demands
+        self.ctx, self.matching, self.demands = ctx, matching, demands
         assoc = matching.assoc
         self.w = assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
         self.amp = ctx.amplitudes(self.w)
-        self._rescore()
+        self.power, self.signal = np.empty(self.amp.shape), np.empty(ctx.num_ues)
+        self._rescore(np.arange(ctx.num_ues))
 
-    def _rescore(self) -> None:
-        _, rate, self.kappa = self.ctx.score_amplitudes(self.amp, self.demands)
+    def _rescore(self, cols: np.ndarray) -> None:
+        """Rewrite power's cols from amp, its diagonal into signal; rescore."""
+        self.power[:, cols] = np.abs(self.amp[:, cols]) ** 2
+        self.signal[cols] = self.power[cols, cols]
+        self.power[cols, cols] = 0.0
+        self.interference = self.power.sum(axis=1)
+        _, rate, self.kappa = self.ctx.score_powers(self.signal, self.interference, self.demands)
         # rate this far above demand is above it exactly too: kappa is 1
         self.saturated = rate > self.demands * (1.0 + SCREEN_MARGIN)
         self._exact = None
@@ -242,26 +246,29 @@ class _GrowingScores:
 
     def add_kappa(self, k: int, aps: list[int]) -> np.ndarray:
         """(len(aps), K) kappa after adding each AP of aps alone to k."""
-        trial_amp = np.repeat(self.amp[None], len(aps), axis=0)
-        for amp, m in zip(trial_amp, aps):
-            load = np.append(np.flatnonzero(self.matching.assoc[:, m]), k)
-            amp[:, load] += self._delta(m, load)[1]
-        return self.ctx.score_amplitudes(trial_amp, self.demands)[2]
+        ctx, aps = self.ctx, np.asarray(aps)[:, None]
+        load = self.matching.assoc[:, aps[:, 0]].T | (np.arange(ctx.num_ues) == k)
+        size = np.count_nonzero(load, axis=1)[:, None]
+        # each AP's load first, then UEs with weight change 0: padding moves nothing
+        cols = np.argsort(~load, axis=1, kind="stable")[:, :size.max()]
+        t, i = np.arange(len(aps))[:, None], np.arange(cols.shape[1])
+        change = (i < size) * (np.sqrt(ctx.max_power / size) * ctx.inv_denom[cols, aps]
+                               - self.w[cols, aps])
+        # new[t, i, r] is |amp[r, cols[t, i]]|^2 once aps[t] serves k
+        new = np.abs(self.amp.T[cols] + ctx.cross[aps, :, cols] * change[..., None]) ** 2
+        signal = np.repeat(self.signal[None], len(aps), axis=0)
+        signal[t, cols] = new[t, i, cols]
+        new[t, i, cols] = 0.0
+        interference = self.interference + (new - self.power.T[cols]).sum(axis=1)
+        return ctx.score_powers(signal, interference, self.demands)[2]
 
     def commit(self, m: int) -> None:
         """Follow an add to AP m already applied to the matching."""
-        load = np.flatnonzero(self.matching.assoc[:, m])
-        w_m, delta = self._delta(m, load)
-        self.amp[:, load] += delta
-        self.w[load, m] = w_m
-        self._rescore()
-
-    def _delta(self, m: int, load: np.ndarray):
-        """AP m's beam weights when it serves exactly load, and the
-        change they make to the amplitude columns of load."""
-        ctx = self.ctx
+        ctx, load = self.ctx, np.flatnonzero(self.matching.assoc[:, m])
         w_m = np.sqrt(ctx.max_power / load.size) * ctx.inv_denom[load, m]
-        return w_m, ctx.cross[m][:, load] * (w_m - self.w[load, m])
+        self.amp[:, load] += ctx.cross[m][:, load] * (w_m - self.w[load, m])
+        self.w[load, m] = w_m
+        self._rescore(load)
 
 
 def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalContext,

@@ -348,6 +348,9 @@ def test_main_rejects_inputs_sharing_output_files(tmp_path, capsys, flag, values
     # JSON's Infinity: each used to run to exit 0 with nan or inf rates written
     ("max_power", math.inf),
     ("bandwidth", math.inf),
+    # a step's travel the waypoint loop cannot finish: 1e300 used to hang
+    ("ue_speed", 1e7),
+    ("ue_speed", 1e300),
 ])
 def test_main_rejects_non_numeric_config_values(tmp_path, capsys, field, value):
     payload = dict(TINY)

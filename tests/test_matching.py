@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,17 +474,21 @@ def test_cluster_evolution_exact_rechecks_match_reference_loop(monkeypatch):
     assert len(calls) > 0
 
 
-@pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (10, 25), (30, 60)])
-def test_growing_scores_match_exact_evaluation(num_ues, num_aps):
+@pytest.mark.parametrize("scene", [(5, 8), (10, 25), (30, 60), (70, 140), "dup-aps", "dup-pairs"],
+                         ids=lambda scene: scene if isinstance(scene, str) else "%d-%d" % scene)
+def test_growing_scores_match_exact_evaluation(scene):
     # grow the initial matching by random window adds until every list
     # is empty, checking the batched kappa of every candidate add and the
     # incrementally kept current kappa after every commit
-    rng = np.random.default_rng(num_aps)
+    tie = isinstance(scene, str)
+    scenes = ([tie_scene(scene)] if tie else
+              [seeded_scene(*scene, seed) for seed in range(750, 751 if scene[0] >= 70 else 753)])
+    rng = np.random.default_rng(scenes[0][0].num_aps)
     worst = 0.0
     adds = 0
     saturated = 0
-    for seed in range(750, 753):
-        cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed)
+    mixed = 0  # windows padding a load-0 AP (c = 1) to wider loads
+    for cfg, ctx, demands in scenes:
         state, matching, _ = _evolution_start(cfg, ctx)
         scores = _GrowingScores(ctx, matching, demands)
         while True:
@@ -492,11 +497,13 @@ def test_growing_scores_match_exact_evaluation(num_ues, num_aps):
             # the saturated flag promises exact kappa 1
             assert np.all(exact[scores.saturated] == 1.0)
             saturated += int(np.count_nonzero(scores.saturated))
-            open_ues = [k for k in range(num_ues) if state.ue_prefs[k]]
+            open_ues = [k for k in range(cfg.num_ues) if state.ue_prefs[k]]
             if not open_ues:
                 break
             k = open_ues[rng.integers(len(open_ues))]
             window = state.ue_prefs[k][:state.ue_quota[k]]
+            loads = set(matching.assoc[:, window].sum(axis=0).tolist())
+            mixed += int(0 in loads and len(loads) > 2)
             for m, kappa in zip(window, scores.add_kappa(k, window)):
                 trial = matching.assoc.copy()
                 trial[k, m] = True
@@ -507,8 +514,29 @@ def test_growing_scores_match_exact_evaluation(num_ues, num_aps):
             associate(k, m, state, matching)
             scores.commit(m)
     assert adds > 0 and saturated > 0
+    # the tie scenes' loads stay too small to mix three of them
+    assert tie or mixed > 0
     # about 1000x headroom below the screen's margin
     assert worst <= 1e-12
+
+
+def test_add_kappa_memory_follows_the_changed_columns():
+    # one (K, K) amplitude copy per window AP would take len(window)
+    # K^2 16 bytes; an add moves only its load's c columns, and scoring
+    # from those needs a small fraction of that
+    cfg, ctx, demands = seeded_scene(70, 140, 0)
+    state, matching, _ = _evolution_start(cfg, ctx)
+    scores = _GrowingScores(ctx, matching, demands)
+    k = next(k for k in range(cfg.num_ues) if len(state.ue_prefs[k]) >= 8)
+    window = state.ue_prefs[k][:8]
+    assert matching.assoc[:, window].any()
+    tracemalloc.start()
+    try:
+        scores.add_kappa(k, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(window) * cfg.num_ues ** 2 * 16 / 4
 
 
 def test_ea_evaluates_exactly_only_near_ties(monkeypatch):
