@@ -47,9 +47,12 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, Ga
     to the lowest AP index.
 
     A drop leaves every other AP's power share, so amplitudes are built
-    once and each drop subtracts its AP's slab.  Each round screens every
-    drop.  A round whose winner the screen proves is committed with no
-    exact evaluation; the exact evaluator decides only near ties.
+    once and each drop subtracts its AP's Gram matrix.  Each round screens
+    every drop.  A round whose winner the screen proves is committed with
+    no exact evaluation; the exact evaluator decides only near ties.  The
+    screen reads every column, K^2 M by design, and scores conjugated
+    amplitudes: AP m's Gram matrix is Hermitian, its row j the conjugate of
+    column (m, j).
     """
     gains = ctx.channels.gains
     floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
@@ -93,23 +96,25 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, Ga
             current += best_gain
             estimate = current
         assoc[:, best_m] = False
-        amp -= ctx.cross[best_m] * weight[best_m]
+        amp -= ctx.columns(best_m, np.arange(ctx.num_ues)).T * weight[best_m]
         weight[best_m] = 0.0
     return Matching.from_assoc(assoc), GameCounters()
 
 
 def _drop_gains(ctx, amp, weight, block, current):
-    """(M,) minimum spectral efficiency after dropping each AP alone (amp -
-    cross[m] * weight[m]), less current; -inf if the AP serves no UE or the
-    drop leaves UE k, now the worst, SCREEN_MARGIN or more below current."""
+    """(M,) minimum spectral efficiency after dropping each AP alone (amp less
+    its Gram matrix, the conjugates of its columns, times weight[m]), less
+    current; -inf if it serves no UE or leaves UE k, now the worst,
+    SCREEN_MARGIN or more below current."""
     k = np.argmin(ctx.score_amplitudes(amp, 1.0)[0])
-    row = np.abs(amp[k] - ctx.cross[:, k] * weight) ** 2
+    amp = amp.conj()  # against the columns, row k of each Gram matrix conjugated
+    row = np.abs(amp[k] - ctx.columns(np.arange(len(weight)), k) * weight) ** 2
     others = np.arange(len(amp)) != k
     bound = np.log2(1.0 + row[:, k] / (row.sum(axis=1, where=others) + ctx.noise_var))
     aps = np.flatnonzero(weight.any(axis=1) & (bound > current - SCREEN_MARGIN))
     out = np.full(len(weight), -np.inf)
     for sel in np.split(aps, range(len(block), aps.size, len(block))):
-        trial = np.take(ctx.cross, sel, axis=0, out=block[:sel.size], mode="clip")
+        trial = ctx.columns(sel[:, None], np.arange(len(amp)), out=block[:sel.size])
         np.subtract(amp, np.multiply(trial, weight[sel, None], out=trial), out=trial)
         diag = trial.reshape(-1, amp.size)[:, ::len(amp) + 1]
         signal = np.abs(diag) ** 2
@@ -190,14 +195,16 @@ def swap_matching(matching: Matching, ctx: EvalContext, demands, config: Scenari
     assoc = matching.assoc.copy()
     num_ues = assoc.shape[0]
     cap = config.ue_quota * num_ues * num_ues
-    # loads never change, so neither does any pair's beam weight
+    # loads never change, so neither does any pair's beam weight; trades
+    # read nearly every column, so all are taken once: K^2 M, as in gca
     weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
+    cross = ctx.columns(np.arange(ctx.num_aps)[:, None], np.arange(num_ues))
 
     def find_swap(current):
         amp = ctx.amplitudes(assoc * weight)
         for k in range(num_ues):
             for k2 in range(k + 1, num_ues):
-                gives, takes, kappa = _pair_trades(ctx, assoc, weight, amp, demands, k, k2)
+                gives, takes, kappa = _pair_trades(ctx, cross, assoc, weight, amp, demands, k, k2)
                 for t in np.flatnonzero(_accepts(kappa, current.kappa, k, k2, SCREEN_MARGIN)):
                     trial = assoc.copy()
                     trial[k, gives[t]] = False
@@ -221,11 +228,12 @@ def swap_matching(matching: Matching, ctx: EvalContext, demands, config: Scenari
     return Matching.from_assoc(assoc)
 
 
-def _pair_trades(ctx, assoc, weight, amp, demands, k, k2):
+def _pair_trades(ctx, cross, assoc, weight, amp, demands, k, k2):
     """Every AP trade of UEs k < k2 in scan order, with batched kappa.
 
     Trade t hands AP gives[t] from k to k2 and AP takes[t] from k2 to k.
-    Only amplitude columns k and k2 change, each by two cross terms.
+    Only amplitude columns k and k2 change, each by two cross terms;
+    cross[m, j] is column (m, j).
     Returns (gives, takes, kappa) with kappa of shape (T, K).
     """
     only_k = np.flatnonzero(assoc[k] & ~assoc[k2])
@@ -233,10 +241,10 @@ def _pair_trades(ctx, assoc, weight, amp, demands, k, k2):
     gives = np.repeat(only_k, only_k2.size)
     takes = np.tile(only_k2, only_k.size)
     trial_amp = np.repeat(amp[None], gives.size, axis=0)
-    trial_amp[:, :, k] += (ctx.cross[takes, :, k] * weight[k, takes, None]
-                           - ctx.cross[gives, :, k] * weight[k, gives, None])
-    trial_amp[:, :, k2] += (ctx.cross[gives, :, k2] * weight[k2, gives, None]
-                            - ctx.cross[takes, :, k2] * weight[k2, takes, None])
+    trial_amp[:, :, k] += (cross[takes, k] * weight[k, takes, None]
+                           - cross[gives, k] * weight[k, gives, None])
+    trial_amp[:, :, k2] += (cross[gives, k2] * weight[k2, gives, None]
+                            - cross[takes, k2] * weight[k2, takes, None])
     return gives, takes, ctx.score_amplitudes(trial_amp, demands)[2]
 
 

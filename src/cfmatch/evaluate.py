@@ -6,10 +6,10 @@ by UE: regularized matched-filter beams, equal sharing of each AP's
 power budget over its load, coherent combining of serving APs, and the
 resulting SINR, rate and satisfaction ratio against the UE's demand.
 
-EvalContext caches all pairwise channel inner products once per
-realization, one Gram matrix per AP from batched BLAS matmuls; its
-amplitudes reads only the APs a matching uses while clusters are
-small, and its evaluate_assoc scores any matching with a few
+EvalContext computes the pairwise channel products of a realization,
+all at once in a scene of at most 1 MB of them, else column by column
+on first use, kept for the realization, so memory follows the clusters
+rather than K^2 M; its evaluate_assoc scores any matching with a few
 vectorized operations.  The association algorithms probe many
 candidate matchings through it.
 """
@@ -29,10 +29,6 @@ from .channel import ChannelRealization, ScenarioConfig
 # screen alone (ea's favorable test, gca's drops); the exact evaluator
 # decides only near ties.
 SCREEN_MARGIN = 1e-9
-
-# APs whose Gram matrices one batched matmul writes into the cache:
-# bounds the conjugated channel block to a few APs instead of all M.
-AP_BLOCK = 4
 
 
 @dataclass
@@ -72,33 +68,66 @@ class NetworkEvaluation:
 
 
 class EvalContext:
-    """Pairwise channel products cached for one realization.
+    """Pairwise channel products of one realization, computed as read.
 
-    cross[m] is the Gram matrix H_m^H H_m of AP m's (N, K) channel
-    block, cross[m, k, j] = h_{k,m}^H h_{j,m}; AP_BLOCK slabs at a time
-    come from one batched matmul (zgemm) written straight into the
-    (M, K, K) cache.  With the regularized matched filter every per-UE
-    amplitude is a weighted sum of these slabs over the UE's serving
-    APs (amplitudes), so a candidate association matrix is scored in a
-    couple of dense ops.  norm2[k, m] is the real diagonal cross[m, k, k].
-    """
+    Column (m, j) is cross[m, k, j] = h_{k,m}^H h_{j,m} over k (columns).  A
+    scene of at most 1 MB of columns computes them all at once, one zgemm
+    per AP; a larger one computes each on first read by one (K, N) @ (N, 1)
+    product, so its bits depend on h[:, m] and h[j, m] alone, and keeps it
+    for the realization.  Each amplitude is a weighted sum of columns over
+    the UE's serving APs (amplitudes), so memory follows the clusters, not
+    K^2 M.  norm2[k, m] = ||h_{k,m}||^2."""
 
     def __init__(self, channels: ChannelRealization, config: ScenarioConfig):
-        h = channels.vectors
-        num_ues = h.shape[0]
         self.channels = channels
-        # uninitialized: the block loop below writes every AP's slab
-        self.cross = np.empty((h.shape[1], num_ues, num_ues), dtype=complex)
-        for i in range(0, h.shape[1], AP_BLOCK):
-            block = h[:, i:i + AP_BLOCK].swapaxes(0, 1)  # (B, K, N)
-            np.matmul(block.conj(), block.swapaxes(1, 2), out=self.cross[i:i + AP_BLOCK])
-        ues = np.arange(num_ues)
-        self.norm2 = self.cross[:, ues, ues].real.T.copy()
+        self._h = np.ascontiguousarray(channels.vectors)
+        self.norm2 = np.einsum("kmn,kmn->km", self._h.view(float), self._h.view(float))
         self.inv_denom = 1.0 / (self.norm2 + config.noise_var)
         self.noise_var = config.noise_var
         self.max_power = config.max_power
         self.bandwidth = config.bandwidth
         self.num_ues, self.num_aps = self.norm2.shape
+        # _row[m, j]: _store row of column (m, j), -1 until computed; AP -1
+        # reads row 0, a zero column.  A large scene starts with room for
+        # full-quota clusters.
+        self._row = np.full((self.num_aps + 1, self.num_ues), -1)
+        self._row[-1] = 0
+        every = self.num_aps * self.num_ues
+        self._small = 16 * every * self.num_ues <= 2 ** 20
+        room = every if self._small else self.num_ues * min(config.ue_quota, self.num_aps)
+        self._store = np.zeros((room + 1, self.num_ues), dtype=complex)
+        self._rows = 1
+        if self._small:  # row 1 + m K + j is row j of H_m H_m^H, H_m = h[:, m]
+            np.matmul(self._h.transpose(1, 0, 2), self._h.conj().transpose(1, 2, 0),
+                      out=self._store[1:].reshape(self.num_aps, self.num_ues, -1))
+            self._row[:-1] = np.arange(1, every + 1).reshape(self.num_aps, -1)
+            self._rows += every
+
+    def columns(self, aps, ues, out=None) -> np.ndarray:
+        """cross[aps, :, ues], (..., K), for index arrays, into out if given;
+        AP -1 reads a zero column.  Each missing column is computed once."""
+        at = self._row[aps, ues]
+        if self._rows <= self.num_aps * self.num_ues and not (at >= 0).all():
+            self._fill(np.unique(np.ravel(np.multiply(aps, self.num_ues) + ues)[np.ravel(at) < 0]))
+            at = self._row[aps, ues]
+        return np.take(self._store, at, axis=0, out=out, mode="clip")
+
+    def _fill(self, pairs):
+        """Compute new columns m K + j, ascending, AP by AP: the AP's block
+        broadcast over its new columns."""
+        start, self._rows = self._rows, self._rows + pairs.size
+        if self._rows > len(self._store):
+            store = np.empty((max(self._rows, len(self._store) * 3 // 2), self.num_ues), complex)
+            store[:start] = self._store[:start]
+            self._store = store
+        self._row.flat[pairs] = np.arange(start, self._rows)
+        new_aps, new_ues = np.divmod(pairs, self.num_ues)
+        # conj(column) = H_m @ conj(h_{j,m}), one (K, N) @ (N, 1) product each
+        h_j, new = self._h[new_ues, new_aps, :, None].conj(), self._store[start:self._rows, :, None]
+        cuts = [0, *(np.flatnonzero(np.diff(new_aps)) + 1).tolist(), pairs.size]
+        for a, b in zip(cuts, cuts[1:]):
+            np.matmul(self._h[:, new_aps[a]], h_j[a:b], out=new[a:b])
+        np.conjugate(new, out=new)
 
     def power_share(self, assoc: np.ndarray) -> np.ndarray:
         """(M,) power each AP spends per served UE; 0 for unloaded APs."""
@@ -119,17 +148,27 @@ class EvalContext:
         return NetworkEvaluation(sinr=sinr, rate=rate, kappa=kappa)
 
     def amplitudes(self, w: np.ndarray) -> np.ndarray:
-        """amp[k, j] = sum_m cross[m, k, j] w[j, m], added term by term in
-        ascending m, so zero weights change no bit: while no UE has over M/2
-        weighted APs only their slabs are read (short clusters padded with
-        weight-0 APs), else the whole cache; complex weights spare a cast."""
-        active = w != 0
-        width = np.count_nonzero(active, axis=1).max(initial=0)
-        if 2 * width > self.num_aps:
-            return np.einsum("mkj,mj->kj", self.cross, w.T.astype(complex))
-        aps = np.argsort(~active, axis=1, kind="stable")[:, :width].T  # (width, K)
+        """amp[k, j] = sum_m cross[m, k, j] w[j, m]: UE j's columns added in
+        ascending m (short clusters padded with the zero column) while no UE
+        has over M/2 weighted APs; else one product per UE over every column
+        in a scene of at most 1 MB of them, or conj(H @ conj(H * w)^T) over
+        the flat (K, M N) channels, a UE block of about 256 KB at a time."""
+        widest = np.count_nonzero(w, axis=1).max(initial=0)
+        if 2 * widest > self.num_aps and self._small:  # [j, k, m] = cross[m, k, j]
+            cross = self._store[1:].reshape(self.num_aps, self.num_ues, -1).transpose(1, 2, 0)
+            return np.matmul(cross, w[:, :, None].astype(complex))[..., 0].T.copy()
+        if 2 * widest > self.num_aps:
+            h, amp = self._h.reshape(self.num_ues, -1), np.empty((self.num_ues,) * 2, complex)
+            step = 2 ** 14 // h.shape[1] + 1
+            for j in range(0, self.num_ues, step):
+                x = self._h[j:j + step] * w[j:j + step, :, None]
+                amp[:, j:j + step] = h @ np.conjugate(x, out=x).reshape(len(x), -1).T
+            return np.conjugate(amp, out=amp)
+        ues, aps = np.nonzero(w)
+        table = np.full((widest, self.num_ues), -1)  # UE j's r-th AP
+        table[np.arange(ues.size) - np.searchsorted(ues, ues), ues] = aps
         ues = np.arange(self.num_ues)
-        return np.einsum("rjk,rj->kj", self.cross[aps, :, ues], w[ues, aps].astype(complex))
+        return np.einsum("rjk,rj->kj", self.columns(table, ues), w[ues, table].astype(complex))
 
     def score_amplitudes(self, amp: np.ndarray, demands: np.ndarray):
         """(sinr, rate, kappa), each (..., K), from amplitudes (..., K, K).

@@ -254,8 +254,9 @@ class _GrowingScores:
         t, i = np.arange(len(aps))[:, None], np.arange(cols.shape[1])
         change = (i < size) * (np.sqrt(ctx.max_power / size) * ctx.inv_denom[cols, aps]
                                - self.w[cols, aps])
-        # new[t, i, r] is |amp[r, cols[t, i]]|^2 once aps[t] serves k
-        new = np.abs(self.amp.T[cols] + ctx.cross[aps, :, cols] * change[..., None]) ** 2
+        # new[t, i, r] is |amp[r, cols[t, i]]|^2 once aps[t] serves k (padding: AP -1)
+        new = np.abs(self.amp.T[cols] + ctx.columns(np.where(i < size, aps, -1), cols)
+                     * change[..., None]) ** 2
         signal = np.repeat(self.signal[None], len(aps), axis=0)
         signal[t, cols] = new[t, i, cols]
         new[t, i, cols] = 0.0
@@ -266,7 +267,7 @@ class _GrowingScores:
         """Follow an add to AP m already applied to the matching."""
         ctx, load = self.ctx, np.flatnonzero(self.matching.assoc[:, m])
         w_m = np.sqrt(ctx.max_power / load.size) * ctx.inv_denom[load, m]
-        self.amp[:, load] += ctx.cross[m][:, load] * (w_m - self.w[load, m])
+        self.amp[:, load] += ctx.columns(m, load).T * (w_m - self.w[load, m])
         self.w[load, m] = w_m
         self._rescore(load)
 

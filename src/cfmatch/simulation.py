@@ -124,7 +124,7 @@ def run_sweep(config: ScenarioConfig, strategies: list[str],
                     counters=counters,
                     quota_violation=quota_violation,
                 ))
-        # free this step's K^2 M cache before the next step builds its own
+        # free this step's columns before the next step computes its own
         del channels, ctx
     return records
 

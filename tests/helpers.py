@@ -56,10 +56,31 @@ def beam_weights(ctx, assoc):
     return assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
 
 
+def all_columns(ctx):
+    """Every column of the context, (M, K, K): [m, j] is column (m, j),
+    cross[m, :, j]."""
+    return ctx.columns(np.arange(ctx.num_aps)[:, None], np.arange(ctx.num_ues))
+
+
 def cross_einsum(ctx, w):
-    """Amplitudes as one einsum over the whole cache in (K, K, M) layout:
-    the contraction that EvalContext.amplitudes must match bit for bit."""
-    return np.einsum("kjm,jm->kj", np.ascontiguousarray(ctx.cross.transpose(1, 2, 0)), w)
+    """Amplitudes as one einsum over every column in (K, K, M) layout: the
+    contraction that EvalContext.amplitudes matches bit for bit while no
+    cluster is wider than M/2."""
+    return np.einsum("kjm,jm->kj", np.ascontiguousarray(all_columns(ctx).transpose(2, 1, 0)), w)
+
+
+def assert_dense_close(amp, reference):
+    """amp is within 1e-15 of reference, relative to its largest entry."""
+    assert np.abs(amp - reference).max(initial=0.0) <= 1e-15 * np.abs(reference).max(initial=0.0)
+
+
+def assert_amplitudes(ctx, w, amp):
+    """amp is ctx.amplitudes(w): the bits of cross_einsum while no cluster is
+    wider than M/2, within 1e-15 of them in the wide branches beyond."""
+    if 2 * np.count_nonzero(w, axis=1).max(initial=0) > ctx.num_aps:
+        assert_dense_close(amp, cross_einsum(ctx, w))
+    else:
+        assert np.array_equal(amp, cross_einsum(ctx, w))
 
 
 def random_demands(rng, config):

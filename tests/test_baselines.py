@@ -13,7 +13,7 @@ from cfmatch.baselines import SCREEN_MARGIN, _accepts, _pair_trades
 from bruteforce import reference_da_m2m, reference_gca, reference_swap_matching
 from make_golden import tie_scene
 from helpers import (small_config, random_channels, channels_from_vectors,
-                     random_demands, check_matching_valid, seeded_scene)
+                     random_demands, check_matching_valid, seeded_scene, all_columns)
 
 
 def _demands(num_ues, value=3e7):
@@ -279,7 +279,7 @@ def _trades(ctx, assoc, demands, k, k2):
     """_pair_trades of UEs k, k2 at the start of a scan of assoc."""
     weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
     amp = ctx.amplitudes(assoc * weight)
-    return _pair_trades(ctx, assoc, weight, amp, demands, k, k2)
+    return _pair_trades(ctx, all_columns(ctx), assoc, weight, amp, demands, k, k2)
 
 
 # At 5x8 the default quotas let every UE hold every AP, leaving nothing to trade.
@@ -459,11 +459,12 @@ def test_batched_drop_gains_match_exact_evaluation(monkeypatch, num_ues, num_aps
 
 
 def test_gca_memory_is_a_few_drop_blocks():
-    # less the context built beforehand, tracemalloc sees the solve's own
-    # buffers; one whole-cache (M, K, K) temporary would be twice the bound.
-    # These clusters stay wider than M/2, so the exact evaluations read the
-    # whole cache and gather no slabs of their own.
+    # less the context and the columns a first solve computed, tracemalloc
+    # sees the solve's own buffers; one (M, K, K) temporary, 16 K^2 M bytes,
+    # would be twice the bound.  These clusters stay wider than M/2, so the
+    # exact evaluations contract the channels and gather no columns.
     cfg, ctx, demands = seeded_scene(40, 80, 0)
+    gca(ctx, demands, cfg)
     tracemalloc.start()
     try:
         out, _ = gca(ctx, demands, cfg)
@@ -471,7 +472,7 @@ def test_gca_memory_is_a_few_drop_blocks():
     finally:
         tracemalloc.stop()
     assert 2 * out.assoc.sum(axis=1).max() > ctx.num_aps
-    assert peak < ctx.cross.nbytes / 2
+    assert peak < 16 * ctx.num_ues ** 2 * ctx.num_aps / 2
 
 
 def test_gca_confirms_only_screen_survivors(monkeypatch):

@@ -169,18 +169,19 @@ def test_mobility_stays_in_area():
 
 
 @pytest.mark.parametrize("ue_speed, timestep_duration", [
-    (1e7, 1.0), (1e300, 1.0), (1.0, 1e300), (1e300, 1e300),
+    (1e7, 1.0), (1e5, 1.0), (1e300, 1.0), (1.0, 1e300), (1e300, 1e300),
 ])
 def test_config_rejects_travel_the_waypoint_loop_cannot_finish(ue_speed, timestep_duration):
     # step_mobility takes one loop pass per waypoint leg: at 1e7 m/s a step
-    # took seconds, and at 1e300 m/s remaining - dist == remaining forever
+    # took seconds, and at 1e300 m/s remaining - dist == remaining forever;
+    # 1e5 m/s is about 350 diagonals of the default area
     with pytest.raises(ValueError, match="ue_speed"):
         ScenarioConfig(ue_speed=ue_speed, timestep_duration=timestep_duration)
 
 
 def test_mobility_finishes_at_the_travel_limit():
     area = (50.0, 40.0)
-    limit = 1e4 * float(np.hypot(*area))
+    limit = 100.0 * float(np.hypot(*area))
     with pytest.raises(ValueError, match="ue_speed"):
         ScenarioConfig(num_ues=1, ue_speed=limit * (1.0 + 1e-12), area=area)
     cfg = ScenarioConfig(num_ues=1, ue_speed=limit, area=area)

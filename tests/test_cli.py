@@ -350,6 +350,7 @@ def test_main_rejects_inputs_sharing_output_files(tmp_path, capsys, flag, values
     ("bandwidth", math.inf),
     # a step's travel the waypoint loop cannot finish: 1e300 used to hang
     ("ue_speed", 1e7),
+    ("ue_speed", 1e5),
     ("ue_speed", 1e300),
 ])
 def test_main_rejects_non_numeric_config_values(tmp_path, capsys, field, value):

@@ -9,11 +9,12 @@ import pytest
 
 import cfmatch
 from cfmatch import ChannelRealization, EvalContext, Matching, STRATEGIES, get_strategy
-from cfmatch.evaluate import AP_BLOCK
 
 from bruteforce import reference_evaluate
 from helpers import (small_config, random_channels, channels_from_vectors, seeded_scene,
-                     beam_weights, cross_einsum)
+                     beam_weights, all_columns, cross_einsum, assert_amplitudes,
+                     assert_dense_close)
+from make_golden import tie_scene
 
 
 def _evaluate(vectors, assoc, noise_var, max_power=0.2, demands=None):
@@ -182,53 +183,126 @@ def test_evaluate_matches_bruteforce_reference():
         np.testing.assert_allclose(ev.kappa, ref["kappa"], rtol=1e-10)
 
 
-@pytest.mark.parametrize("num_ues", [1, 15, 16, 17, 33, 40])
-def test_context_blocked_build_equals_one_shot_einsum(num_ues):
-    # the cache is filled a block of APs at a time, slab m by one batched
-    # matmul; each slab must be the unblocked Gram matrix h_m^H h_m bit
-    # for bit, and the one-shot einsum up to summation order
+@pytest.mark.parametrize("num_ues", [1, 15, 16, 17, 33, 40, 90])
+def test_context_columns_equal_one_shot_einsum(num_ues):
+    # each column is one zgemm's row (90 UEs: its own (K, N) @ (N, 1)
+    # product): the one-shot einsum up to summation order; norm2 is the sum
+    # of |h|^2
     rng = np.random.default_rng(num_ues)
     num_aps, n_ant = 9, 3
-    assert num_aps % AP_BLOCK != 0  # a short last block is exercised
     ch = random_channels(rng, num_ues, num_aps, n_ant)
     ctx = EvalContext(ch, small_config(num_aps, num_ues, antennas_per_ap=n_ant))
     h = ch.vectors
-    assert ctx.cross.shape == (num_aps, num_ues, num_ues)
-    for m in range(num_aps):
-        np.testing.assert_array_equal(ctx.cross[m], np.matmul(h[:, m].conj(), h[:, m].T))
-    einsum = np.einsum("kmn,jmn->mkj", h.conj(), h)
-    assert np.abs(ctx.cross - einsum).max() <= 1e-15 * np.abs(einsum).max()
-    ues = np.arange(num_ues)
-    np.testing.assert_array_equal(ctx.norm2, ctx.cross[:, ues, ues].real.T)
+    einsum = np.einsum("kmn,jmn->mjk", h.conj(), h)
+    cols = all_columns(ctx)
+    assert cols.shape == (num_aps, num_ues, num_ues)
+    assert np.abs(cols - einsum).max() <= 1e-15 * np.abs(einsum).max()
+    np.testing.assert_allclose(ctx.norm2, (np.abs(h) ** 2).sum(axis=2), rtol=1e-15)
 
 
-def test_context_build_memory_is_a_few_ap_blocks():
-    # less the cache itself, tracemalloc sees only the build's temporaries;
-    # a whole-array conjugate of the channels would be 2x this
-    rng = np.random.default_rng(3)
-    num_ues, num_aps, n_ant = 40, 80, 16
+@pytest.mark.parametrize("num_ues, num_aps, n_ant", [(20, 200, 2), (41, 40, 3), (60, 20, 16)])
+def test_column_bits_do_not_depend_on_the_batch(num_ues, num_aps, n_ant):
+    # in a scene of over 1 MB of columns, computed as read, a column has the
+    # same bits computed alone, among any other missing columns (one AP at a
+    # time, in any order, repeats included) and in the fill of every column
+    assert 16 * num_ues ** 2 * num_aps > 2 ** 20
+    rng = np.random.default_rng(num_ues + num_aps)
     ch = random_channels(rng, num_ues, num_aps, n_ant)
     cfg = small_config(num_aps, num_ues, antennas_per_ap=n_ant)
+    full = all_columns(EvalContext(ch, cfg))
+    ctx = EvalContext(ch, cfg)
+    for _ in range(6):
+        aps = rng.integers(num_aps, size=int(rng.integers(1, 60)))
+        ues = rng.integers(num_ues, size=aps.size)
+        np.testing.assert_array_equal(ctx.columns(aps, ues), full[aps, ues])
+    np.testing.assert_array_equal(all_columns(ctx), full)
+    for m, j in zip(rng.integers(num_aps, size=12), rng.integers(num_ues, size=12)):
+        np.testing.assert_array_equal(EvalContext(ch, cfg).columns(m, j), full[m, j])
+
+
+def test_duplicate_aps_and_ues_give_bit_equal_columns():
+    # the tie scenes' exact ties survive only if a copied AP or UE gets the
+    # very bits of its original, whichever is computed first
+    ctx = tie_scene("dup-aps")[1]
+    ues = np.arange(ctx.num_ues)
+    for m in range(4):
+        np.testing.assert_array_equal(ctx.columns(m + 4, ues), ctx.columns(m, ues))
+    ctx = tie_scene("dup-pairs")[1]
+    cols = all_columns(ctx)
+    np.testing.assert_array_equal(cols[0::2], cols[1::2])
+    np.testing.assert_array_equal(cols[:, 0], cols[:, 1])
+    np.testing.assert_array_equal(cols[:, 2], cols[:, 3])
+    # the same in a scene whose columns are computed as read: APs 100-199
+    # copy APs 0-99 and UE 1 copies UE 0; copies go first for half the APs
+    rng = np.random.default_rng(11)
+    vectors = random_channels(rng, 20, 200, 2).vectors
+    vectors[:, 100:] = vectors[:, :100]
+    vectors[1] = vectors[0]
+    ctx = EvalContext(channels_from_vectors(vectors), small_config(200, 20, antennas_per_ap=2))
+    ues = np.arange(20)
+    for m in range(100):
+        first, second = (m + 100, m) if m % 2 else (m, m + 100)
+        np.testing.assert_array_equal(ctx.columns(first, ues), ctx.columns(second, ues))
+    cols = all_columns(ctx)
+    np.testing.assert_array_equal(cols[:, 0], cols[:, 1])
+
+
+@pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (20, 50), (40, 50), (70, 140)])
+def test_dense_branch_matches_the_clustered_contraction(num_ues, num_aps):
+    # a matching with a cluster over M/2 is scored by one product over
+    # every kept column per UE in a scene of at most 1 MB of columns, by
+    # contracting the channels directly in a larger one; the column
+    # contraction gives the same amplitudes up to summation order
+    cfg, ctx, _ = seeded_scene(num_ues, num_aps, 7)
+    rng = np.random.default_rng(num_aps)
+    gains = ctx.channels.gains
+    for assoc in (np.ones((num_ues, num_aps), dtype=bool),
+                  gains >= gains.max(axis=1, keepdims=True) / 1e3,
+                  rng.random((num_ues, num_aps)) < 0.3):
+        assoc[0, : num_aps // 2 + 1] = True
+        w = beam_weights(ctx, assoc)
+        assert_dense_close(ctx.amplitudes(w), cross_einsum(ctx, w))
+
+
+def test_step_memory_is_under_a_quarter_of_the_cross_cache():
+    # no K^2 M cache (16 K^2 M bytes, 11 MB here) is built: one whole step
+    # of ea, da, bc, md and cs, context, solves and scores included, peaks
+    # under a quarter of it.  A first step loads numpy's lazy imports.
+    cfg, ctx, demands = seeded_scene(70, 140, 0)
+
+    def step():
+        step_ctx = EvalContext(ctx.channels, cfg)
+        for name in ("ea", "da", "bc", "md", "cs"):
+            matching, _ = get_strategy(name)(step_ctx, demands, cfg)
+            step_ctx.evaluate_assoc(matching.assoc, demands)
+
+    step()
     tracemalloc.start()
     try:
-        ctx = EvalContext(ch, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - ctx.cross.nbytes
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < ch.vectors.nbytes / 2
+    assert peak < 16 * ctx.num_ues ** 2 * ctx.num_aps / 4
 
 
 _CROSS_DIGEST = """
 import hashlib
-from helpers import seeded_scene
-ctx = seeded_scene(70, 140, 0)[1]
-print(hashlib.sha256(ctx.cross.tobytes()).hexdigest())
+import numpy as np
+from helpers import all_columns, beam_weights, seeded_scene
+digest = hashlib.sha256()
+for ctx in (seeded_scene(70, 140, 0)[1], seeded_scene(30, 60, 0)[1]):
+    dense = ctx.amplitudes(beam_weights(ctx, np.ones((ctx.num_ues, ctx.num_aps), dtype=bool)))
+    digest.update(all_columns(ctx).tobytes() + dense.tobytes() + ctx.norm2.tobytes())
+print(digest.hexdigest())
 """
 
 
 def test_context_cross_is_independent_of_blas_threads():
-    # the CLI leaves BLAS threading to the environment, so the cache, and
-    # with it every matching, must not depend on the thread count
+    # the CLI leaves BLAS threading to the environment, so the columns, the
+    # wide-matching products (70x140 computes its columns as read, 30x60
+    # all at once), and with them every matching, must not depend on the
+    # thread count
     paths = [str(Path(cfmatch.__file__).parents[1]), str(Path(__file__).parent)]
     digests = set()
     for threads in ("1", "2"):
@@ -243,14 +317,15 @@ def test_context_cross_is_independent_of_blas_threads():
 @pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (20, 50), (30, 60), (70, 140)])
 def test_amplitudes_equal_one_einsum_on_every_strategy(num_ues, num_aps):
     # every amplitude contraction a strategy makes, exact evaluations and
-    # batched scores alike, has the bits of the one einsum over the cache
+    # batched scores alike, has the bits of the one einsum over the columns,
+    # or is within 1e-15 of them where a cluster is wider than M/2
     cfg, ctx, demands = seeded_scene(num_ues, num_aps, 5)
     contract = ctx.amplitudes
     widths = []
 
     def checked(w):
         amp = contract(w)
-        assert np.array_equal(amp, cross_einsum(ctx, w))
+        assert_amplitudes(ctx, w, amp)
         widths.append(np.count_nonzero(w, axis=1).max(initial=0))
         return amp
 
@@ -269,14 +344,16 @@ def test_amplitudes_equal_one_einsum_on_every_strategy(num_ues, num_aps):
 
 @pytest.mark.parametrize("num_ues, num_aps, widths", [
     (4, 8, [0, 0, 0, 0]),  # nothing served
-    (4, 8, [8, 0, 1, 2]),  # one UE holds every AP: the whole cache
-    (4, 8, [4, 4, 1, 0]),  # widest cluster exactly M/2: slabs only
+    (4, 8, [8, 0, 1, 2]),  # one UE holds every AP: the wide branch
+    (4, 8, [4, 4, 1, 0]),  # widest cluster exactly M/2: columns only
     (4, 8, [5, 3, 1, 0]),  # one AP over M/2
     (5, 9, [4, 4, 2, 1, 0]),  # just under M/2 with M odd
     (5, 9, [5, 1, 0, 3, 2]),  # just over
     (1, 12, [5]),  # K = 1, under and over M/2
     (1, 12, [7]),
     (1, 12, [12]),
+    (40, 50, [26, 25] + [1] * 38),  # over 1 MB of columns: the dense contraction
+    (40, 50, [25, 25] + [1] * 38),  # and the columns read as needed
 ])
 def test_amplitudes_edge_widths(num_ues, num_aps, widths):
     rng = np.random.default_rng(num_ues * 100 + sum(widths))
@@ -288,7 +365,7 @@ def test_amplitudes_edge_widths(num_ues, num_aps, widths):
     w = beam_weights(ctx, assoc)
     amp = ctx.amplitudes(w)
     assert amp.shape == (num_ues, num_ues)
-    assert np.array_equal(amp, cross_einsum(ctx, w))
+    assert_amplitudes(ctx, w, amp)
     if not assoc.any():
         assert not amp.any()
 

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 import numpy as np
 
 from cfmatch import EvalContext, ScenarioConfig, load_config, main
-from helpers import beam_weights, cross_einsum, random_channels, small_config
+from helpers import assert_amplitudes, beam_weights, random_channels, small_config
 
 FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
 
@@ -133,5 +133,5 @@ def test_amplitudes_of_any_matching_equal_one_einsum(assoc, seed):
     ctx = EvalContext(random_channels(rng, num_ues, num_aps, 2),
                       small_config(num_aps, num_ues, antennas_per_ap=2))
     w = beam_weights(ctx, assoc)
-    event("whole cache" if 2 * assoc.sum(axis=1).max() > num_aps else "cluster slabs")
-    assert np.array_equal(ctx.amplitudes(w), cross_einsum(ctx, w))
+    event("wide branch" if 2 * assoc.sum(axis=1).max() > num_aps else "cluster columns")
+    assert_amplitudes(ctx, w, ctx.amplitudes(w))

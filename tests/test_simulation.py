@@ -87,7 +87,7 @@ def test_run_episode_da_count_constant():
 
 def test_run_episode_frees_each_step_before_the_next(monkeypatch):
     # a step's realization and context must be gone before the next
-    # step draws its own, so at most one K^2 M cache is alive at a time
+    # step draws its own, so at most one step's columns are alive at a time
     drawn, built = [], []
 
     def draw(*args):
