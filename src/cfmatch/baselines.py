@@ -47,12 +47,12 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, Ga
     to the lowest AP index.
 
     A drop leaves every other AP's power share, so amplitudes are built
-    once and each drop subtracts its AP's Gram matrix.  Each round screens
-    every drop.  A round whose winner the screen proves is committed with
-    no exact evaluation; the exact evaluator decides only near ties.  The
-    screen reads every column, K^2 M by design, and scores conjugated
-    amplitudes: AP m's Gram matrix is Hermitian, its row j the conjugate of
-    column (m, j).
+    once and each drop subtracts its AP's Gram matrix.  Each round bounds
+    every drop by the rate it leaves one UE and scores the drops in bound
+    order until no later one can win.  A round whose winner the screen
+    proves is committed with no exact evaluation; the exact evaluator
+    decides only near ties.  The amplitudes are kept conjugated: AP m's
+    Gram matrix is Hermitian, its row j the conjugate of column (m, j).
     """
     gains = ctx.channels.gains
     floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
@@ -62,15 +62,18 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, Ga
         return float(np.log2(1.0 + ctx.evaluate_assoc(a, demands).sinr).min())
 
     weight = (assoc * (np.sqrt(ctx.power_share(assoc)) * ctx.inv_denom)).T.astype(complex)
-    amp = ctx.amplitudes(weight.T)
+    active = assoc.any(axis=0)
+    amp = ctx.amplitudes(weight.T).conj()
     # the running minimum of the exact rule, None while it equals
-    # min_se(assoc); estimate is the batched one, within 1e-12 of it
+    # min_se(assoc); estimate is the batched one, within 1e-12 of it;
+    # k is the UE the next round bounds drops by, the currently worst
     current = None
-    estimate = float(np.log2(1.0 + ctx.score_amplitudes(amp, 1.0)[0]).min())
-    # drops are scored in blocks of about 512 KB, which stay in L2 cache
+    sinr = ctx.score_amplitudes(amp, 1.0)[0]
+    estimate, k = float(np.log2(1.0 + sinr).min()), int(np.argmin(sinr))
+    # drops are scored in blocks of at most about 512 KB, which stay in L2 cache
     block = np.empty((min(ctx.num_aps, 2 ** 19 // amp.nbytes + 1),) + amp.shape, complex)
     while True:
-        gain = _drop_gains(ctx, amp, weight, block, estimate)
+        gain, worst = _drop_gains(ctx, amp, weight, active, k, block, estimate)
         survivors = np.flatnonzero(_may_win(gain))
         if survivors.size == 0:
             break
@@ -95,33 +98,46 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, Ga
                 break
             current += best_gain
             estimate = current
-        assoc[:, best_m] = False
-        amp -= ctx.columns(best_m, np.arange(ctx.num_ues)).T * weight[best_m]
+        assoc[:, best_m] = active[best_m] = False
+        # the amplitudes less the drop's Gram matrix, as scored
+        amp -= ctx.columns(best_m, np.arange(ctx.num_ues)) * weight[best_m]
         weight[best_m] = 0.0
+        k = int(worst[best_m])
     return Matching.from_assoc(assoc), GameCounters()
 
 
-def _drop_gains(ctx, amp, weight, block, current):
-    """(M,) minimum spectral efficiency after dropping each AP alone (amp less
-    its Gram matrix, the conjugates of its columns, times weight[m]), less
-    current; -inf if it serves no UE or leaves UE k, now the worst,
-    SCREEN_MARGIN or more below current."""
-    k = np.argmin(ctx.score_amplitudes(amp, 1.0)[0])
-    amp = amp.conj()  # against the columns, row k of each Gram matrix conjugated
+def _drop_gains(ctx, amp, weight, active, k, block, current):
+    """(M,) minimum spectral efficiency after dropping each active AP alone,
+    less current, and (M,) the UE each scored drop leaves worst.
+
+    amp holds the conjugated amplitudes; a drop subtracts AP m's columns
+    times weight[m].  The rate a drop leaves UE k bounds its new minimum
+    from above, for any k.  Drops bounded SCREEN_MARGIN or more below
+    current are not scored; the rest are scored in descending bound order
+    (ties: lower AP index), 4 at a time and doubling up to len(block),
+    until the next bound lies over 3 SCREEN_MARGIN below the best gain so
+    far: that drop and every later one then lose to it in _may_win.
+    Unscored drops read -inf."""
     row = np.abs(amp[k] - ctx.columns(np.arange(len(weight)), k) * weight) ** 2
     others = np.arange(len(amp)) != k
     bound = np.log2(1.0 + row[:, k] / (row.sum(axis=1, where=others) + ctx.noise_var))
-    aps = np.flatnonzero(weight.any(axis=1) & (bound > current - SCREEN_MARGIN))
-    out = np.full(len(weight), -np.inf)
-    for sel in np.split(aps, range(len(block), aps.size, len(block))):
+    aps = np.flatnonzero(active & (bound > current - SCREEN_MARGIN))
+    aps = aps[np.argsort(-bound[aps], kind="stable")]
+    out, worst = np.full(len(weight), -np.inf), np.zeros(len(weight), int)
+    done, size = 0, min(4, len(block))
+    while done < aps.size and bound[aps[done]] - current >= out.max() - 3 * SCREEN_MARGIN:
+        sel = aps[done:done + size]
         trial = ctx.columns(sel[:, None], np.arange(len(amp)), out=block[:sel.size])
         np.subtract(amp, np.multiply(trial, weight[sel, None], out=trial), out=trial)
         diag = trial.reshape(-1, amp.size)[:, ::len(amp) + 1]
         signal = np.abs(diag) ** 2
         diag[...] = 0.0
         interference = np.einsum("bki,bki->bk", trial.view(float), trial.view(float))
-        out[sel] = np.log2(1.0 + (signal / (interference + ctx.noise_var)).min(axis=1)) - current
-    return out
+        sinr = signal / (interference + ctx.noise_var)
+        out[sel] = np.log2(1.0 + sinr.min(axis=1)) - current
+        worst[sel] = sinr.argmin(axis=1)
+        done, size = done + sel.size, min(2 * size, len(block))
+    return out, worst
 
 
 def _may_win(gain):

@@ -399,13 +399,16 @@ def _gca_seed(ctx, config):
 ])
 def test_gca_matches_reference_loop(num_ues, num_aps, num_seeds):
     # the screen may only skip drops the exact rule would not pick, so
-    # the loop must end where one exact evaluation per drop ends
+    # the loop must end where one exact evaluation per drop ends.  5x8 adds
+    # the tie scenes, whose duplicate APs have exactly equal bounds
+    scenes = [seeded_scene(num_ues, num_aps, seed) for seed in range(900, 900 + num_seeds)]
+    if num_aps == 8:
+        scenes += [tie_scene("dup-aps"), tie_scene("dup-pairs")]
     total_drops = 0
-    for seed in range(900, 900 + num_seeds):
-        cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed)
+    for i, (cfg, ctx, demands) in enumerate(scenes):
         out, _ = gca(ctx, demands, cfg)
         np.testing.assert_array_equal(out.assoc, reference_gca(ctx, demands, cfg),
-                                      err_msg=f"seed {seed}")
+                                      err_msg=f"scene {i}")
         total_drops += int(np.count_nonzero(_gca_seed(ctx, cfg).any(axis=0))
                            - np.count_nonzero(out.assoc.any(axis=0)))
     assert total_drops > 0
@@ -414,38 +417,48 @@ def test_gca_matches_reference_loop(num_ues, num_aps, num_seeds):
 @pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (10, 25), (30, 60)])
 def test_batched_drop_gains_match_exact_evaluation(monkeypatch, num_ues, num_aps):
     # replays gca and checks, in every round, every active drop against one
-    # exact evaluation: a screened gain in minimum SE lies within 1e-12 of
-    # the exact one, and a drop screened out (-inf) cannot raise the minimum.
-    # The screen reads amplitudes kept across rounds, so later rounds also
-    # check what the committed drops' subtractions left.  5x8 adds dup-aps.
+    # exact evaluation: a scored gain in minimum SE lies within 1e-12 of the
+    # exact one, and an unscored drop (-inf) is one the exact rule cannot
+    # pick.  That drop was either bounded SCREEN_MARGIN below current by the
+    # rate it leaves UE k, or left by the early stop 3 SCREEN_MARGIN below
+    # the best scored gain; either way its exact gain is at most
+    # max(-SCREEN_MARGIN, best exact gain - 2 SCREEN_MARGIN), up to the
+    # scores' error.  Stopped drops may still raise the minimum, just not
+    # the most.  The screen reads amplitudes kept across rounds, so later
+    # rounds also check what the committed drops' subtractions left.  5x8
+    # adds dup-aps.
     scenes = [seeded_scene(num_ues, num_aps, seed) for seed in range(950, 953)]
     if num_aps == 8:
         scenes.append(tie_scene("dup-aps"))
     original = baselines._drop_gains
     worst = 0.0
-    screened = []
+    scored = []
     pruned = []
+    stopped = []
 
-    def screen(ctx, amp, weight, block, current):
+    def screen(ctx, amp, weight, active, k, block, current):
         nonlocal worst
-        out = original(ctx, amp, weight, block, current)
+        out, worst_ue = original(ctx, amp, weight, active, k, block, current)
         # weight[m, j] is nonzero exactly where AP m serves UE j
         assoc = (weight != 0).T
-        active = assoc.any(axis=0)
+        np.testing.assert_array_equal(active, assoc.any(axis=0))
         assert np.isneginf(out[~active]).all()
+        exact = {}
         for m in np.flatnonzero(active):
             trial = assoc.copy()
             trial[:, m] = False
-            sinr = ctx.evaluate_assoc(trial, demands).sinr
-            exact = float(np.log2(1.0 + sinr).min()) - current
+            se = np.log2(1.0 + ctx.evaluate_assoc(trial, demands).sinr)
+            exact[m] = (float(se.min()) - current, float(se[k]) - current)
+        best = max(gain for gain, _ in exact.values())
+        for m, (gain, bound) in exact.items():
             if np.isneginf(out[m]):
-                assert exact <= -SCREEN_MARGIN + 1e-12
-                pruned.append(m)
+                assert gain <= max(-SCREEN_MARGIN, best - 2 * SCREEN_MARGIN) + 1e-12
+                (pruned if bound <= -SCREEN_MARGIN else stopped).append(m)
             else:
-                worst = max(worst, abs(out[m] - exact))
-                screened.append(m)
+                worst = max(worst, abs(out[m] - gain))
+                scored.append(m)
         rounds.append(out)
-        return out
+        return out, worst_ue
 
     monkeypatch.setattr(baselines, "_drop_gains", screen)
     rounds_after_drops = 0
@@ -453,9 +466,35 @@ def test_batched_drop_gains_match_exact_evaluation(monkeypatch, num_ues, num_aps
         rounds = []
         gca(ctx, demands, cfg)
         rounds_after_drops += len(rounds) - 1
-    assert rounds_after_drops > 0 and screened and pruned
+    assert rounds_after_drops > 0 and scored and pruned
+    # at 5x8 the first 4 drops in bound order are nearly all the bound
+    # leaves; the larger scenes read 61 and 616 stopped drops
+    assert stopped or num_aps == 8
     # about 1000x headroom below the screen's margin
     assert worst <= 1e-12
+
+
+def test_drop_gains_score_under_a_quarter_of_loaded_aps(monkeypatch):
+    # traffic guard on the bound order: over gca's rounds at 30x60, the
+    # drops _drop_gains scores (finite gains) against the loaded APs.  This
+    # reads 0.133 (356 of 2,685); scoring every drop whose bound passes, as
+    # before the early stop, read 0.362 (972).
+    original = baselines._drop_gains
+    scored = loaded = 0
+
+    def counted(ctx, amp, weight, active, k, block, current):
+        nonlocal scored, loaded
+        out, worst_ue = original(ctx, amp, weight, active, k, block, current)
+        scored += int(np.count_nonzero(np.isfinite(out)))
+        loaded += int(np.count_nonzero(active))
+        return out, worst_ue
+
+    monkeypatch.setattr(baselines, "_drop_gains", counted)
+    for seed in range(950, 953):
+        cfg, ctx, demands = seeded_scene(30, 60, seed)
+        gca(ctx, demands, cfg)
+    assert loaded > 0
+    assert scored < loaded / 4
 
 
 def test_gca_memory_is_a_few_drop_blocks():
@@ -490,9 +529,9 @@ def test_gca_confirms_only_screen_survivors(monkeypatch):
         calls.append(args)
         return original_eval(self, *args)
 
-    def gains(ctx, amp, weight, block, current):
+    def gains(ctx, amp, weight, active, k, block, current):
         rounds.append((len(calls), current))
-        return original_gains(ctx, amp, weight, block, current)
+        return original_gains(ctx, amp, weight, active, k, block, current)
 
     def screen(gain):
         mask = original_screen(gain)
@@ -557,10 +596,10 @@ def test_gca_certified_rounds_are_exact(monkeypatch, num_ues, num_aps):
         calls += 1
         return original_eval(self, *args)
 
-    def gains(ctx, amp, weight, block, current):
+    def gains(ctx, amp, weight, active, k, block, current):
         # weight[m, j] is nonzero exactly where AP m serves UE j
         rounds.append(((weight != 0).T, calls))
-        return original_gains(ctx, amp, weight, block, current)
+        return original_gains(ctx, amp, weight, active, k, block, current)
 
     monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
     monkeypatch.setattr(baselines, "_drop_gains", gains)
