@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import ScenarioConfig
 from .evaluate import SCREEN_MARGIN, EvalContext, Matching
-from .matching import GameCounters, build_preferences, ea_m2m
+from .matching import GameCounters, ea_m2m
 
 
 def best_channel(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
@@ -154,14 +154,16 @@ def da_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching,
     quota of held offers is full; each AP keeps the best proposals by
     its own gain ranking up to its quota and rejects the rest.  Rounds
     repeat until no UE has anything left to propose; held offers become
-    the matching.  Both sides rank by build_preferences, as in ea.
+    the matching.  Both sides rank by descending gain, ties broken by
+    lower index (the order of build_preferences, as in ea), taken as one
+    stable argsort per side.
     """
     num_ues, num_aps = ctx.num_ues, ctx.num_aps
-    prefs = build_preferences(ctx.channels.gains, config)
+    gains = ctx.channels.gains
     # place[k, m]: position of AP m in UE k's list; rank[k, m]: position
     # of UE k in AP m's list; lower is better on both sides
-    place = _positions(np.array(prefs.ue_prefs))
-    rank = _positions(np.array(prefs.ap_prefs)).T
+    place = _positions(np.argsort(-gains, axis=1, kind="stable"))
+    rank = _positions(np.argsort(-gains.T, axis=1, kind="stable")).T
     held = np.zeros((num_ues, num_aps), dtype=bool)
     proposed = np.zeros(num_ues, dtype=int)
     counters = GameCounters()

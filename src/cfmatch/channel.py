@@ -216,6 +216,10 @@ def realize_channels(layout: Layout, config: ScenarioConfig,
     vectors = np.empty(shape, dtype=complex)
     vectors.real = fading_rng.standard_normal(shape)
     vectors.imag = fading_rng.standard_normal(shape)
-    vectors /= np.sqrt(2.0)
-    vectors *= np.sqrt(gains)[:, :, None]
+    # scaled on the real view, (K, M, 2N): numpy divides a complex by
+    # sqrt(2) + 0j as a product with the rounded 1 / sqrt(2), and
+    # multiplies by sqrt(g) + 0j part by part, so the bits match
+    parts = vectors.view(float)
+    parts *= 1.0 / np.sqrt(2.0)
+    parts *= np.sqrt(gains)[:, :, None]
     return ChannelRealization(gains=gains, vectors=vectors, distances=d)

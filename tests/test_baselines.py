@@ -192,19 +192,25 @@ def test_da_respects_quotas_randomized():
     (70, 140, 2),
 ])
 def test_da_matches_reference_loop(num_ues, num_aps, num_seeds):
-    # the array rounds must hold the offers the per-AP lists hold
+    # the array rounds must hold the offers the per-AP lists hold.  5x8
+    # adds the tie scenes, whose duplicate APs and UEs have exactly equal
+    # gains: the argsort ranks must break those ties as the lists do
     rng = np.random.default_rng(num_ues)
+    scenes = []
     for seed in range(600, 600 + num_seeds):
         # every third scene lifts ap_quota to K or past it (no AP rejects),
         # every third ue_quota to M or past it (every list in one round)
         ap_quota = int(rng.integers(1, num_ues + 1)) + (num_ues if seed % 3 == 1 else 0)
         ue_quota = int(rng.integers(1, num_aps + 1)) + (num_aps if seed % 3 == 2 else 0)
-        cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed,
-                                         ap_quota=ap_quota, ue_quota=ue_quota)
+        scenes.append(seeded_scene(num_ues, num_aps, seed,
+                                   ap_quota=ap_quota, ue_quota=ue_quota))
+    if num_aps == 8:
+        scenes += [tie_scene("dup-aps"), tie_scene("dup-pairs")]
+    for i, (cfg, ctx, demands) in enumerate(scenes):
         out, counters = da_m2m(ctx, demands, cfg)
         ref, ref_counters = reference_da_m2m(ctx, demands, cfg)
-        np.testing.assert_array_equal(out.assoc, ref.assoc, err_msg=f"seed {seed}")
-        assert counters == ref_counters, f"seed {seed}"
+        np.testing.assert_array_equal(out.assoc, ref.assoc, err_msg=f"scene {i}")
+        assert counters == ref_counters, f"scene {i}"
 
 
 def test_swap_fixed_point_on_symmetric_instance():

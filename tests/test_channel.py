@@ -275,6 +275,44 @@ def test_realize_distance_clamped():
     assert ch.gains[0, 0] == pytest.approx(path_gain(MIN_DISTANCE, cfg))
 
 
+def _complex_scaled_vectors(cfg, gains, fading_rng):
+    """The fading vectors scaled in complex arithmetic: divided by
+    sqrt(2) + 0j, then multiplied by sqrt(gain) + 0j."""
+    shape = (*gains.shape, cfg.antennas_per_ap)
+    vectors = np.empty(shape, dtype=complex)
+    vectors.real = fading_rng.standard_normal(shape)
+    vectors.imag = fading_rng.standard_normal(shape)
+    vectors /= np.sqrt(2.0)
+    vectors *= np.sqrt(gains)[:, :, None]
+    return vectors
+
+
+def _realize_cases():
+    for num_ues, num_aps in ((5, 8), (70, 140)):
+        for seed in range(5):
+            cfg = ScenarioConfig(num_ues=num_ues, num_aps=num_aps, seed=seed)
+            yield cfg, generate_layout(cfg, substream(seed, "layout")), seed
+    cfg = ScenarioConfig(num_ues=5, num_aps=8, shadow_var=0.0)
+    yield cfg, generate_layout(cfg, substream(5, "layout")), 5
+    # UE 2 sits on AP 3, so its distance is clamped to MIN_DISTANCE
+    cfg = ScenarioConfig(num_ues=5, num_aps=8)
+    layout = generate_layout(cfg, substream(6, "layout"))
+    layout.ue_positions[2] = layout.ap_positions[3]
+    yield cfg, layout, 6
+
+
+def test_realize_scaling_keeps_the_complex_bits():
+    # the scaling runs on the real view of the vectors; every bit must be
+    # the one the complex division and product give
+    for cfg, layout, seed in _realize_cases():
+        ch = realize_channels(layout, cfg, substream(seed, "shadowing", 1),
+                              substream(seed, "fading", 1))
+        expected = _complex_scaled_vectors(cfg, ch.gains, substream(seed, "fading", 1))
+        assert np.array_equal(ch.vectors.view(np.uint64), expected.view(np.uint64)), \
+            (cfg.num_ues, cfg.num_aps, seed)
+    assert ch.distances[2, 3] == MIN_DISTANCE
+
+
 def test_realize_mean_channel_energy():
     # per antenna E|h|^2 equals the average gain
     cfg = ScenarioConfig(num_aps=1, num_ues=1, antennas_per_ap=8, shadow_var=0.0)

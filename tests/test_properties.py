@@ -1,6 +1,7 @@
 """Property tests of config validation and the CLI's handling of bad
-configs, on generated JSON payloads, and of the amplitude contraction
-on generated association matrices."""
+configs, on generated JSON payloads, of the amplitude contraction on
+generated association matrices, and of deferred acceptance on
+generated gains full of exact ties."""
 
 import contextlib
 import dataclasses
@@ -13,7 +14,8 @@ from hypothesis import assume, event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 import numpy as np
 
-from cfmatch import EvalContext, ScenarioConfig, load_config, main
+from cfmatch import ChannelRealization, EvalContext, ScenarioConfig, da_m2m, load_config, main
+from bruteforce import reference_da_m2m
 from helpers import assert_amplitudes, beam_weights, random_channels, small_config
 
 FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
@@ -135,3 +137,27 @@ def test_amplitudes_of_any_matching_equal_one_einsum(assoc, seed):
     w = beam_weights(ctx, assoc)
     event("wide branch" if 2 * assoc.sum(axis=1).max() > num_aps else "cluster columns")
     assert_amplitudes(ctx, w, ctx.amplitudes(w))
+
+
+# integer gains from a range of three: most rows and columns hold ties
+TIED_GAINS = st.tuples(st.integers(1, 6), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(float, shape, elements=st.integers(0, 2).map(float)))
+
+
+@PROPERTY_SETTINGS
+@given(TIED_GAINS, st.data())
+def test_da_ranks_break_ties_as_the_preference_lists_do(gains, data):
+    # da's stable argsorts of -gains must order equal gains by lower
+    # index, exactly as build_preferences' lists, which the reference reads
+    num_ues, num_aps = gains.shape
+    cfg = small_config(num_aps, num_ues,
+                       ap_quota=data.draw(st.integers(1, num_ues + 1), label="ap_quota"),
+                       ue_quota=data.draw(st.integers(1, num_aps + 1), label="ue_quota"))
+    ch = ChannelRealization(gains=gains, vectors=np.sqrt(gains)[:, :, None].astype(complex),
+                            distances=np.ones_like(gains))
+    ctx = EvalContext(ch, cfg)
+    demands = np.full(num_ues, 3e7)
+    out, counters = da_m2m(ctx, demands, cfg)
+    ref, ref_counters = reference_da_m2m(ctx, demands, cfg)
+    np.testing.assert_array_equal(out.assoc, ref.assoc)
+    assert counters == ref_counters
