@@ -21,11 +21,14 @@ The evolution phase is delta-scored.  Adding AP m to UE k changes only
 AP m's power share and so only the c = |load m| + 1 columns of the
 current amplitudes; those are kept up to date commit by commit, and one
 batched pass scores every AP in a UE's window at O(K·c) each instead of
-a full O(K^2 M) evaluation.  A decision those batched values take by
-more than their error (about 1e-12, against a SCREEN_MARGIN of 1e-9)
-stands; a near-tie is re-checked by the exact evaluator on the trial
-and the current matching, so no comparison is loosened and every
-outcome is that of one exact evaluation per test.
+a full O(K^2 M) evaluation.  The favorable-pair rule then gives the
+whole window's verdicts at once, at two bounds that relax and tighten
+every comparison by twice the batched values' error margin (about
+1e-12 error, against a SCREEN_MARGIN of 1e-9).  A verdict both bounds
+share stands; only where they disagree does is_favorable_pair re-check
+the pair exactly on the trial and the current matching, so no
+comparison is loosened and every outcome is that of one exact
+evaluation per test.
 """
 
 from __future__ import annotations
@@ -155,55 +158,34 @@ def ea_initial_association(state: PreferenceState) -> Matching:
 
 
 def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching,
-                      ctx: EvalContext, demands, counters: GameCounters,
-                      current_eval=None, batched=None) -> bool:
-    """Test whether adding AP m to UE k's cluster is worth committing.
+                      ctx: EvalContext, demands, current=None) -> bool:
+    """Test exactly whether adding AP m to UE k's cluster is favorable.
 
     Requires: k inside the remaining-quota window of m's list, k's own
     satisfaction strictly improves, and the summed satisfaction of all
-    currently served UEs does not drop.
-
-    batched, if given, is (trial kappa, current kappa, saturated):
-    kappa values each within SCREEN_MARGIN of the exact ones, and
-    whether k's exact current kappa is surely 1.  A saturated k cannot
-    strictly improve, since kappa is clamped at 1, so the test fails
-    outright; otherwise the rule is applied to the batched values when
-    they clear it by more than their error, and the exact evaluator
-    decides the rest.  current_eval is the current matching's exact
-    evaluation, or a function returning it, called only if needed.
+    currently served UEs does not drop, on evaluate_assoc of the trial
+    and of the current matching.  current is the latter if already
+    known.
     """
-    counters.favorable_tests += 1
     if k not in state.ap_prefs[m][:state.ap_quota[m]]:
         return False
-    served = matching.assoc.any(axis=1)
-    if batched is not None:
-        trial_kappa, current_kappa, saturated = batched
-        if saturated:
-            return False
-        # each batched difference is within 2 * SCREEN_MARGIN of the exact
-        # one, so the exact rule agrees with any verdict both bounds share
-        verdict = _favorable(trial_kappa, current_kappa, k, served, 2 * SCREEN_MARGIN)
-        if verdict == _favorable(trial_kappa, current_kappa, k, served, -2 * SCREEN_MARGIN):
-            return verdict
     demands = np.asarray(demands, dtype=float)
-    if current_eval is None:
-        current_eval = ctx.evaluate_assoc(matching.assoc, demands)
-    elif callable(current_eval):
-        current_eval = current_eval()
+    if current is None:
+        current = ctx.evaluate_assoc(matching.assoc, demands)
     trial = matching.assoc.copy()
     trial[k, m] = True
-    return _favorable(ctx.evaluate_assoc(trial, demands).kappa, current_eval.kappa,
-                      k, served)
+    return bool(_favorable(ctx.evaluate_assoc(trial, demands).kappa, current.kappa,
+                           k, matching.assoc.any(axis=1)))
 
 
-def _favorable(trial, current, k, served, slack=0.0) -> bool:
-    """The favorable-pair rule on the kappa of the trial and the current
-    matching: k strictly improves and the served sum does not drop.
-    slack relaxes each comparison by that much per kappa difference; a
-    negative slack tightens it."""
-    return bool(trial[k] > current[k] - slack
-                and float(trial[served].sum())
-                >= float(current[served].sum()) - trial.size * slack)
+def _favorable(trial, current, k, served, slack=0.0):
+    """The favorable-pair rule on the kappa of one trial or of each row of
+    a (T, K) batch against the current matching's: k strictly improves
+    and the served sum does not drop.  slack relaxes each comparison by
+    that much per kappa difference; a negative slack tightens it."""
+    return ((trial[..., k] > current[k] - slack)
+            & (trial[..., served].sum(axis=-1)
+               >= float(current[served].sum()) - current.size * slack))
 
 
 class _GrowingScores:
@@ -283,9 +265,12 @@ def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalConte
     The loop stops after a full round without a commit.
 
     Every decision is taken on batched kappa kept up to date commit by
-    commit; one that falls within their error of its threshold is
-    taken on exact evaluate_assoc values instead.  A UE that reached
-    kappa 1 during a round fails its window tests without either.
+    commit.  A window's verdicts come from one _favorable pass over all
+    its adds at both slack bounds; where the bounds disagree, and at a
+    settle check within their error of the threshold, the exact
+    evaluate_assoc values decide instead.  A UE that reached kappa 1
+    during a round fails its window tests without either.  Every window
+    test scanned counts, up to and including the committed one.
     """
     demands = np.asarray(demands, dtype=float)
     active = np.flatnonzero(matching.assoc.any(axis=1)).tolist()
@@ -293,7 +278,6 @@ def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalConte
     threshold = config.satisfaction_threshold
 
     while active:
-        tests_at_start = counters.favorable_tests
         unsettled = []
         for k in active:
             kappa = scores.kappa[k]
@@ -303,21 +287,30 @@ def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalConte
             if kappa < threshold and state.ue_prefs[k]:
                 unsettled.append(k)
         active = unsettled
-        committed = False
+        committed, tests = False, 0
         for k in active:
             window = state.ue_prefs[k][:state.ue_quota[k]]
-            if not window:
-                continue
-            for m, kappa in zip(window, scores.add_kappa(k, window)):
-                if is_favorable_pair(m, k, state, matching, ctx, demands, counters,
-                                     current_eval=scores.exact,
-                                     batched=(kappa, scores.kappa,
-                                              scores.saturated[k])):
-                    associate(k, m, state, matching)
-                    scores.commit(m)
-                    committed = True
-                    break
-        counters.tests_per_round.append(counters.favorable_tests - tests_at_start)
+            tested = len(window)
+            # a saturated UE sits at exact kappa 1 and cannot strictly improve
+            if window and not scores.saturated[k]:
+                trial, served = scores.add_kappa(k, window), matching.assoc.any(axis=1)
+                # each batched difference is within 2 * SCREEN_MARGIN of the
+                # exact one, so the exact rule agrees with any verdict both share
+                loose = _favorable(trial, scores.kappa, k, served, 2 * SCREEN_MARGIN)
+                sure = _favorable(trial, scores.kappa, k, served, -2 * SCREEN_MARGIN)
+                for i in np.flatnonzero(loose).tolist():
+                    m = window[i]
+                    if (k in state.ap_prefs[m][:state.ap_quota[m]]
+                            and (sure[i] or is_favorable_pair(m, k, state, matching, ctx,
+                                                              demands, scores.exact()))):
+                        associate(k, m, state, matching)
+                        scores.commit(m)
+                        committed = True
+                        tested = i + 1
+                        break
+            tests += tested
+        counters.favorable_tests += tests
+        counters.tests_per_round.append(tests)
         if not committed:
             break
 

@@ -8,12 +8,49 @@ and the ea evolution phase in their plain form: one full exact
 evaluation per candidate.  reference_da_m2m is deferred acceptance with
 its held offers in per-AP lists and one proposal at a time.
 reference_ea_initial_association is the ea initial phase with its
-rounds also stopped by a scan for any acceptance still possible.
+rounds also stopped by a scan for any acceptance still possible.  The
+ea and da references build their preference lists with
+reference_preferences and update them with reference_associate, so a
+bug in the package's list code cannot pass through both sides of a
+comparison.
 """
 
 import numpy as np
 
-from cfmatch import GameCounters, Matching, associate, build_preferences
+from cfmatch import GameCounters, Matching, PreferenceState
+
+
+def reference_preferences(gains, config):
+    """build_preferences by a plain sort: each side lists the other by
+    descending gain, equal gains by lower index; full quotas."""
+    num_ues, num_aps = np.shape(gains)
+    ue_prefs = [sorted(range(num_aps), key=lambda m: (-gains[k, m], m))
+                for k in range(num_ues)]
+    ap_prefs = [sorted(range(num_ues), key=lambda k: (-gains[k, m], k))
+                for m in range(num_aps)]
+    return PreferenceState(ue_prefs=ue_prefs, ap_prefs=ap_prefs,
+                           ue_quota=[config.ue_quota] * num_ues,
+                           ap_quota=[config.ap_quota] * num_aps)
+
+
+def reference_associate(k, m, state, matching):
+    """associate with its lists filtered afresh: k and m leave each
+    other's lists and each quota drops by one; a player left without
+    quota leaves every list and has its own emptied."""
+    assert state.ue_quota[k] > 0 and state.ap_quota[m] > 0 and not matching.assoc[k, m]
+    matching.assoc[k, m] = True
+    state.ue_quota[k] -= 1
+    state.ap_quota[m] -= 1
+    state.ue_prefs[k][:] = [m2 for m2 in state.ue_prefs[k] if m2 != m]
+    state.ap_prefs[m][:] = [k2 for k2 in state.ap_prefs[m] if k2 != k]
+    if state.ap_quota[m] == 0:
+        state.ap_prefs[m][:] = []
+        for prefs in state.ue_prefs:
+            prefs[:] = [m2 for m2 in prefs if m2 != m]
+    if state.ue_quota[k] == 0:
+        state.ue_prefs[k][:] = []
+        for prefs in state.ap_prefs:
+            prefs[:] = [k2 for k2 in prefs if k2 != k]
 
 
 def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands):
@@ -181,7 +218,7 @@ def reference_cluster_evolution(state, matching, ctx, demands, config, counters,
                 if (kappa[k] > current.kappa[k]
                         and float(kappa[served].sum())
                         >= float(current.kappa[served].sum())):
-                    associate(k, m, state, matching)
+                    reference_associate(k, m, state, matching)
                     counters.association_ops += 1
                     current = ctx.evaluate_assoc(matching.assoc, demands)
                     committed = True
@@ -201,7 +238,7 @@ def reference_da_m2m(ctx, demands, config):
     keeps the first ap_quota.
     """
     num_ues, num_aps = ctx.num_ues, ctx.num_aps
-    prefs = build_preferences(ctx.channels.gains, config)
+    prefs = reference_preferences(ctx.channels.gains, config)
     ue_prefs = prefs.ue_prefs
     # rank[m][k]: position of UE k in AP m's ranking, lower is better
     order = np.array(prefs.ap_prefs)
@@ -265,7 +302,7 @@ def reference_ea_initial_association(state, counters, trace=None):
                    for k in prefs[:state.ap_quota[m]])
 
     def commit(k, m):
-        associate(k, m, state, matching)
+        reference_associate(k, m, state, matching)
         counters.association_ops += 1
         if trace is not None:
             trace.append(("init", k, m))

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 
 from cfmatch import (ChannelRealization, ScenarioConfig, Matching, EvalContext,
-                     build_preferences, associate,
                      generate_layout, realize_channels, draw_demands, substream)
 from cfmatch import matching as matching_module
+
+from bruteforce import reference_associate, reference_preferences
 
 
 def small_config(num_aps, num_ues, antennas_per_ap=1, **overrides):
@@ -127,10 +128,11 @@ def replay_ea_trace(ctx, demands, config, trace, final_assoc):
     Checks, per evolution commit: the UE sat inside the AP's
     remaining-quota window, its own satisfaction strictly rose, and the
     summed satisfaction over UEs served at commit time did not drop.
-    The replayed matching must equal the game's final matching.
+    The replayed matching must equal the game's final matching.  The
+    lists are the tests' own (reference_preferences, reference_associate).
     """
     demands = np.asarray(demands, dtype=float)
-    state = build_preferences(ctx.channels.gains, config)
+    state = reference_preferences(ctx.channels.gains, config)
     matching = Matching.empty(ctx.num_ues, ctx.num_aps)
     evolve_commits = 0
     for kind, k, m in trace:
@@ -138,12 +140,12 @@ def replay_ea_trace(ctx, demands, config, trace, final_assoc):
             assert k in state.ap_prefs[m][:state.ap_quota[m]]
             before = ctx.evaluate_assoc(matching.assoc, demands)
             served = matching.assoc.any(axis=1)
-            associate(k, m, state, matching)
+            reference_associate(k, m, state, matching)
             after = ctx.evaluate_assoc(matching.assoc, demands)
             assert after.kappa[k] > before.kappa[k]
             assert float(after.kappa[served].sum()) >= float(before.kappa[served].sum())
             evolve_commits += 1
         else:
-            associate(k, m, state, matching)
+            reference_associate(k, m, state, matching)
     np.testing.assert_array_equal(matching.assoc, final_assoc)
     return evolve_commits

@@ -1,4 +1,3 @@
-import copy
 import tracemalloc
 
 import numpy as np
@@ -11,7 +10,8 @@ from cfmatch import (Matching, build_preferences, associate,
 from cfmatch import matching as matching_module
 from cfmatch.matching import _GrowingScores
 
-from bruteforce import reference_cluster_evolution, reference_ea_initial_association
+from bruteforce import (reference_cluster_evolution, reference_ea_initial_association,
+                        reference_preferences)
 from helpers import (small_config, random_channels, channels_from_vectors,
                      random_demands, check_matching_valid, record_commits,
                      replay_ea_trace, seeded_scene)
@@ -152,7 +152,7 @@ def test_initial_association_matches_reference_stopping_scan(monkeypatch):
             gains = rng.integers(1, 4, size=(num_ues, num_aps)).astype(float)
         else:
             gains = 10.0 ** rng.uniform(-9.0, -6.0, size=(num_ues, num_aps))
-        state, ref_state = build_preferences(gains, cfg), build_preferences(gains, cfg)
+        state, ref_state = build_preferences(gains, cfg), reference_preferences(gains, cfg)
         commits.clear()
         m = ea_initial_association(state)
         counters, trace = GameCounters(), []
@@ -200,9 +200,9 @@ def _favorable_fixture():
 def test_favorable_pair_accepts_clean_improvement():
     ctx, cfg, state, m = _favorable_fixture()
     demands = np.array([1e9])  # far beyond one AP's rate
-    counters = GameCounters()
-    assert is_favorable_pair(1, 0, state, m, ctx, demands, counters)
-    assert counters.favorable_tests == 1
+    assert is_favorable_pair(1, 0, state, m, ctx, demands)
+    # a known current evaluation gives the same verdict
+    assert is_favorable_pair(1, 0, state, m, ctx, demands, ctx.evaluate_assoc(m.assoc, demands))
 
 
 def test_favorable_pair_rejects_outside_window():
@@ -216,20 +216,17 @@ def test_favorable_pair_rejects_outside_window():
     state = build_preferences(ch.gains, cfg)
     m = Matching.empty(2, 2)
     associate(0, 0, state, m)
-    counters = GameCounters()
     demands = np.array([1e12, 1e12])
     assert state.ap_prefs[1] == [1, 0]
-    assert not is_favorable_pair(1, 0, state, m, EvalContext(ch, cfg), demands, counters)
-    assert counters.favorable_tests == 1
+    assert not is_favorable_pair(1, 0, state, m, EvalContext(ch, cfg), demands)
 
 
 def test_favorable_pair_requires_strict_gain():
     ctx, cfg, state, m = _favorable_fixture()
     demands = np.array([1.0])  # already fully satisfied: kappa == 1
-    counters = GameCounters()
     ev = ctx.evaluate_assoc(m.assoc, demands)
     assert ev.kappa[0] == 1.0
-    assert not is_favorable_pair(1, 0, state, m, ctx, demands, counters)
+    assert not is_favorable_pair(1, 0, state, m, ctx, demands, ev)
 
 
 def _interference_tradeoff_instance():
@@ -270,10 +267,9 @@ def test_favorable_pair_sum_guard_rejects():
     associate(0, 0, state, m)
     associate(1, 1, state, m)
     np.testing.assert_array_equal(m.assoc, assoc)
-    counters = GameCounters()
     # UE 0's own satisfaction would strictly rise, yet the pair is
     # rejected because the network sum would drop
-    assert not is_favorable_pair(2, 0, state, m, ctx, demands, counters)
+    assert not is_favorable_pair(2, 0, state, m, ctx, demands)
 
 
 def test_evolution_all_satisfied_adds_nothing():
@@ -412,12 +408,13 @@ def _evolution_start(cfg, ctx):
 
 
 def _evolve_both(cfg, ctx, demands, commits):
-    """cluster_evolution and reference_cluster_evolution from one start,
-    each as (assoc, evolve commits, counters).  commits is the list
-    record_commits fills; the package's association_ops is set from its
-    final matching as ea_m2m does, the reference counts its own."""
+    """cluster_evolution and reference_cluster_evolution, each after its
+    own initial phase, as (assoc, evolve commits, counters).  commits is
+    the list record_commits fills; the package's association_ops is set
+    from its final matching as ea_m2m does, the reference counts its own."""
     state, matching, counters = _evolution_start(cfg, ctx)
-    ref_state, ref_matching, ref_counters = copy.deepcopy((state, matching, counters))
+    ref_state, ref_counters = reference_preferences(ctx.channels.gains, cfg), GameCounters()
+    ref_matching, _ = reference_ea_initial_association(ref_state, ref_counters)
     commits.clear()
     cluster_evolution(state, matching, ctx, demands, cfg, counters)
     counters.association_ops = matching.association_count()
@@ -565,7 +562,8 @@ def test_ea_evaluates_exactly_only_near_ties(monkeypatch):
 
 def test_association_ops_is_the_association_count():
     # the game never removes an association, so ea_m2m reads its count
-    # off the final matrix; the reference phases count one per associate
+    # off the final matrix; the reference phases count one per associate,
+    # and every other counter must agree with theirs too
     scenes = [seeded_scene(num_ues, num_aps, seed,
                            satisfaction_threshold=(0.8, 0.9, 1.0)[seed % 3],
                            ap_quota=(2, 4, num_ues)[seed % 3], ue_quota=(1, 3, 8)[seed % 3])
@@ -574,9 +572,9 @@ def test_association_ops_is_the_association_count():
     for cfg, ctx, demands in scenes:
         matching, counters = ea_m2m(ctx, demands, cfg)
         reference = GameCounters()
-        state = build_preferences(ctx.channels.gains, cfg)
+        state = reference_preferences(ctx.channels.gains, cfg)
         ref, _ = reference_ea_initial_association(state, reference)
         reference_cluster_evolution(state, ref, ctx, demands, cfg, reference)
         np.testing.assert_array_equal(ref.assoc, matching.assoc)
         assert counters.association_ops == matching.association_count()
-        assert counters.association_ops == reference.association_ops
+        assert counters == reference

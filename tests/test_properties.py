@@ -148,7 +148,7 @@ TIED_GAINS = st.tuples(st.integers(1, 6), st.integers(1, 9)).flatmap(
 @given(TIED_GAINS, st.data())
 def test_da_ranks_break_ties_as_the_preference_lists_do(gains, data):
     # da's stable argsorts of -gains must order equal gains by lower
-    # index, exactly as build_preferences' lists, which the reference reads
+    # index, exactly as the reference's sorted lists do
     num_ues, num_aps = gains.shape
     cfg = small_config(num_aps, num_ues,
                        ap_quota=data.draw(st.integers(1, num_ues + 1), label="ap_quota"),
