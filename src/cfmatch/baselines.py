@@ -1,8 +1,9 @@
 """Reference clustering schemes and the strategy registry.
 
 Every strategy takes (ctx, demands, config), where ctx is the
-EvalContext of one channel realization, and returns (Matching,
-GameCounters); STRATEGIES maps each registry name to such a function.
+EvalContext of one channel realization, and returns (assoc,
+GameCounters), assoc the boolean (K, M) association matrix; STRATEGIES
+maps each registry name to such a function.
 Schemes that ignore quotas (best-channel, min-distance, all-active,
 gain-threshold) return zeroed counters.
 """
@@ -12,32 +13,32 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ScenarioConfig
-from .evaluate import SCREEN_MARGIN, EvalContext, Matching
+from .evaluate import SCREEN_MARGIN, EvalContext
 from .matching import GameCounters, ea_m2m
 
 
-def best_channel(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
+def best_channel(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[np.ndarray, GameCounters]:
     """Each UE takes the single AP with the largest gain (ties: lower index)."""
     gains = ctx.channels.gains
     assoc = np.zeros(gains.shape, dtype=bool)
     assoc[np.arange(gains.shape[0]), np.argmax(gains, axis=1)] = True
-    return Matching.from_assoc(assoc), GameCounters()
+    return assoc, GameCounters()
 
 
-def min_distance(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
+def min_distance(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[np.ndarray, GameCounters]:
     """Each UE takes the single nearest AP (ties: lower index)."""
     dists = ctx.channels.distances
     assoc = np.zeros(dists.shape, dtype=bool)
     assoc[np.arange(dists.shape[0]), np.argmin(dists, axis=1)] = True
-    return Matching.from_assoc(assoc), GameCounters()
+    return assoc, GameCounters()
 
 
-def canonical(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
+def canonical(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[np.ndarray, GameCounters]:
     """Every AP serves every UE."""
-    return Matching.from_assoc(np.ones((ctx.num_ues, ctx.num_aps), dtype=bool)), GameCounters()
+    return np.ones((ctx.num_ues, ctx.num_aps), dtype=bool), GameCounters()
 
 
-def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
+def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[np.ndarray, GameCounters]:
     """Gain-threshold clusters pruned greedily for the worst-UE rate.
 
     Each UE starts with every AP whose gain is within
@@ -103,7 +104,7 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, Ga
         amp -= ctx.columns(best_m, np.arange(ctx.num_ues)) * weight[best_m]
         weight[best_m] = 0.0
         k = int(worst[best_m])
-    return Matching.from_assoc(assoc), GameCounters()
+    return assoc, GameCounters()
 
 
 def _drop_gains(ctx, amp, weight, active, k, block, current):
@@ -147,7 +148,7 @@ def _may_win(gain):
     return (gain > -SCREEN_MARGIN) & (gain >= gain.max(initial=-np.inf) - 2 * SCREEN_MARGIN)
 
 
-def da_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
+def da_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[np.ndarray, GameCounters]:
     """Deferred acceptance: UEs propose in gain order, APs hold the best.
 
     Each round every UE proposes to its next-preferred APs until its
@@ -179,7 +180,7 @@ def da_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching,
             ranked = np.where(held, rank, num_ues)
             worst_kept = np.partition(ranked, config.ap_quota - 1, axis=0)[config.ap_quota - 1]
             held &= ranked <= worst_kept
-    return Matching.from_assoc(held), counters
+    return held, counters
 
 
 def _positions(order: np.ndarray) -> np.ndarray:
@@ -193,9 +194,10 @@ class SwapCapExceeded(RuntimeError):
     """swap_matching committed more swaps than its cap allows."""
 
 
-def swap_matching(matching: Matching, ctx: EvalContext, demands, config: ScenarioConfig,
-                  counters: GameCounters) -> Matching:
-    """Refine a matching by trading AP pairs between UE pairs.
+def swap_matching(assoc: np.ndarray, ctx: EvalContext, demands, config: ScenarioConfig,
+                  counters: GameCounters) -> np.ndarray:
+    """Refine a matching by trading AP pairs between UE pairs; assoc is
+    left as it is and the refined matrix returned.
 
     A swap hands AP m (serving only k) to k' and AP m' (serving only k')
     to k; it is applied when the network satisfaction sum does not drop
@@ -210,7 +212,7 @@ def swap_matching(matching: Matching, ctx: EvalContext, demands, config: Scenari
     the exact evaluator, in scan order, which alone decides.
     """
     demands = np.asarray(demands, dtype=float)
-    assoc = matching.assoc.copy()
+    assoc = assoc.copy()
     num_ues = assoc.shape[0]
     cap = config.ue_quota * num_ues * num_ues
     # loads never change, so neither does any pair's beam weight; trades
@@ -243,7 +245,7 @@ def swap_matching(matching: Matching, ctx: EvalContext, demands, config: Scenari
         counters.swap_count += 1
         if counters.swap_count > cap:
             raise SwapCapExceeded(f"swap refinement exceeded {cap} swaps")
-    return Matching.from_assoc(assoc)
+    return assoc
 
 
 def _pair_trades(ctx, cross, assoc, weight, amp, demands, k, k2):
@@ -283,8 +285,8 @@ def _accepts(kappa, current, k, k2, slack=0.0):
 
 def _da_smp(ctx, demands, config):
     """da-smp: deferred acceptance refined by swap matching."""
-    matching, counters = da_m2m(ctx, demands, config)
-    return swap_matching(matching, ctx, demands, config, counters), counters
+    assoc, counters = da_m2m(ctx, demands, config)
+    return swap_matching(assoc, ctx, demands, config, counters), counters
 
 
 STRATEGIES = {

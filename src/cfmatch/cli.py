@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, replace, fields
@@ -81,16 +82,16 @@ class RunSpec:
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
         for s in self.seeds:
-            if s < 0:
-                raise ValueError(f"seeds must be nonnegative, got {s}")
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0:
+                raise ValueError(f"seeds must be nonnegative integers, got {s!r}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must not repeat, got {self.seeds}")
         if not self.kappa0_values:
             raise ValueError("kappa0 must list at least one threshold")
         tags = {}
         for v in self.kappa0_values:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"kappa0 values must be in [0, 1], got {v}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"kappa0 values must be real numbers in [0, 1], got {v!r}")
             tag = _kappa_tag(v)
             if tag in tags:
                 raise ValueError(f"kappa0 values {tags[tag]!r} and {v!r} would both "

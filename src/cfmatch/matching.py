@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ScenarioConfig
-from .evaluate import SCREEN_MARGIN, EvalContext, Matching
+from .evaluate import SCREEN_MARGIN, EvalContext
 
 
 @dataclass
@@ -85,8 +85,8 @@ def build_preferences(gains: np.ndarray, config: ScenarioConfig) -> PreferenceSt
                            ap_quota=[config.ap_quota] * num_aps)
 
 
-def associate(k: int, m: int, state: PreferenceState, matching: Matching) -> None:
-    """Associate UE k with AP m and update lists and quotas.
+def associate(k: int, m: int, state: PreferenceState, assoc: np.ndarray) -> None:
+    """Associate UE k with AP m in assoc and update lists and quotas.
 
     Requires positive remaining quota on both sides and no existing
     association; violating that is a caller bug.  When a quota hits
@@ -95,9 +95,9 @@ def associate(k: int, m: int, state: PreferenceState, matching: Matching) -> Non
     """
     if state.ue_quota[k] <= 0 or state.ap_quota[m] <= 0:
         raise ValueError(f"associate({k}, {m}) with exhausted quota")
-    if matching.assoc[k, m]:
+    if assoc[k, m]:
         raise ValueError(f"associate({k}, {m}) repeated")
-    matching.assoc[k, m] = True
+    assoc[k, m] = True
     if m in state.ue_prefs[k]:
         state.ue_prefs[k].remove(m)
     if k in state.ap_prefs[m]:
@@ -116,7 +116,7 @@ def associate(k: int, m: int, state: PreferenceState, matching: Matching) -> Non
         state.ue_prefs[k].clear()
 
 
-def ea_initial_association(state: PreferenceState) -> Matching:
+def ea_initial_association(state: PreferenceState) -> np.ndarray:
     """Build every UE's first cluster by early acceptance.
 
     Rounds run until one neither accepts a request nor moves a request
@@ -129,7 +129,7 @@ def ea_initial_association(state: PreferenceState) -> Matching:
     AP left stays unassociated.
     """
     num_ues = len(state.ue_prefs)
-    matching = Matching.empty(num_ues, len(state.ap_prefs))
+    assoc = np.zeros((num_ues, len(state.ap_prefs)), dtype=bool)
     waiting = list(range(num_ues))
     pointer = [0] * num_ues
 
@@ -140,7 +140,7 @@ def ea_initial_association(state: PreferenceState) -> Matching:
             prefs = state.ue_prefs[k]
             m = prefs[min(pointer[k], len(prefs) - 1)] if prefs else None
             if m is not None and k in state.ap_prefs[m][:state.ap_quota[m]]:
-                associate(k, m, state, matching)
+                associate(k, m, state, assoc)
             else:
                 advanced = advanced or pointer[k] < len(prefs)
                 pointer[k] += 1
@@ -153,11 +153,11 @@ def ea_initial_association(state: PreferenceState) -> Matching:
     # left on their list, regardless of the AP's own ranking.
     for k in waiting:
         if state.ue_prefs[k]:
-            associate(k, state.ue_prefs[k][0], state, matching)
-    return matching
+            associate(k, state.ue_prefs[k][0], state, assoc)
+    return assoc
 
 
-def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching,
+def is_favorable_pair(m: int, k: int, state: PreferenceState, assoc: np.ndarray,
                       ctx: EvalContext, demands, current=None) -> bool:
     """Test exactly whether adding AP m to UE k's cluster is favorable.
 
@@ -171,11 +171,11 @@ def is_favorable_pair(m: int, k: int, state: PreferenceState, matching: Matching
         return False
     demands = np.asarray(demands, dtype=float)
     if current is None:
-        current = ctx.evaluate_assoc(matching.assoc, demands)
-    trial = matching.assoc.copy()
+        current = ctx.evaluate_assoc(assoc, demands)
+    trial = assoc.copy()
     trial[k, m] = True
     return bool(_favorable(ctx.evaluate_assoc(trial, demands).kappa, current.kappa,
-                           k, matching.assoc.any(axis=1)))
+                           k, assoc.any(axis=1)))
 
 
 def _favorable(trial, current, k, served, slack=0.0):
@@ -202,9 +202,8 @@ class _GrowingScores:
     evaluate_assoc of the current matching, computed at most once.
     """
 
-    def __init__(self, ctx: EvalContext, matching: Matching, demands: np.ndarray):
-        self.ctx, self.matching, self.demands = ctx, matching, demands
-        assoc = matching.assoc
+    def __init__(self, ctx: EvalContext, assoc: np.ndarray, demands: np.ndarray):
+        self.ctx, self.assoc, self.demands = ctx, assoc, demands
         self.w = assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
         self.amp = ctx.amplitudes(self.w)
         self.power, self.signal = np.empty(self.amp.shape), np.empty(ctx.num_ues)
@@ -223,13 +222,13 @@ class _GrowingScores:
 
     def exact(self):
         if self._exact is None:
-            self._exact = self.ctx.evaluate_assoc(self.matching.assoc, self.demands)
+            self._exact = self.ctx.evaluate_assoc(self.assoc, self.demands)
         return self._exact
 
     def add_kappa(self, k: int, aps: list[int]) -> np.ndarray:
         """(len(aps), K) kappa after adding each AP of aps alone to k."""
         ctx, aps = self.ctx, np.asarray(aps)[:, None]
-        load = self.matching.assoc[:, aps[:, 0]].T | (np.arange(ctx.num_ues) == k)
+        load = self.assoc[:, aps[:, 0]].T | (np.arange(ctx.num_ues) == k)
         size = np.count_nonzero(load, axis=1)[:, None]
         # each AP's load first, then UEs with weight change 0: padding moves nothing
         cols = np.argsort(~load, axis=1, kind="stable")[:, :size.max()]
@@ -246,17 +245,17 @@ class _GrowingScores:
         return ctx.score_powers(signal, interference, self.demands)[2]
 
     def commit(self, m: int) -> None:
-        """Follow an add to AP m already applied to the matching."""
-        ctx, load = self.ctx, np.flatnonzero(self.matching.assoc[:, m])
+        """Follow an add to AP m already applied to assoc."""
+        ctx, load = self.ctx, np.flatnonzero(self.assoc[:, m])
         w_m = np.sqrt(ctx.max_power / load.size) * ctx.inv_denom[load, m]
         self.amp[:, load] += ctx.columns(m, load).T * (w_m - self.w[load, m])
         self.w[load, m] = w_m
         self._rescore(load)
 
 
-def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalContext,
+def cluster_evolution(state: PreferenceState, assoc: np.ndarray, ctx: EvalContext,
                       demands, config: ScenarioConfig, counters: GameCounters) -> None:
-    """Grow unsettled UEs' clusters in place until no pair is favorable.
+    """Grow unsettled UEs' clusters in assoc until no pair is favorable.
 
     Every UE with a nonempty cluster starts unsettled.  Each round first
     settles UEs that reached the threshold or ran out of candidates,
@@ -273,8 +272,8 @@ def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalConte
     test scanned counts, up to and including the committed one.
     """
     demands = np.asarray(demands, dtype=float)
-    active = np.flatnonzero(matching.assoc.any(axis=1)).tolist()
-    scores = _GrowingScores(ctx, matching, demands)
+    active = np.flatnonzero(assoc.any(axis=1)).tolist()
+    scores = _GrowingScores(ctx, assoc, demands)
     threshold = config.satisfaction_threshold
 
     while active:
@@ -293,7 +292,7 @@ def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalConte
             tested = len(window)
             # a saturated UE sits at exact kappa 1 and cannot strictly improve
             if window and not scores.saturated[k]:
-                trial, served = scores.add_kappa(k, window), matching.assoc.any(axis=1)
+                trial, served = scores.add_kappa(k, window), assoc.any(axis=1)
                 # each batched difference is within 2 * SCREEN_MARGIN of the
                 # exact one, so the exact rule agrees with any verdict both share
                 loose = _favorable(trial, scores.kappa, k, served, 2 * SCREEN_MARGIN)
@@ -301,9 +300,9 @@ def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalConte
                 for i in np.flatnonzero(loose).tolist():
                     m = window[i]
                     if (k in state.ap_prefs[m][:state.ap_quota[m]]
-                            and (sure[i] or is_favorable_pair(m, k, state, matching, ctx,
+                            and (sure[i] or is_favorable_pair(m, k, state, assoc, ctx,
                                                               demands, scores.exact()))):
-                        associate(k, m, state, matching)
+                        associate(k, m, state, assoc)
                         scores.commit(m)
                         committed = True
                         tested = i + 1
@@ -315,15 +314,15 @@ def cluster_evolution(state: PreferenceState, matching: Matching, ctx: EvalConte
             break
 
 
-def ea_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[Matching, GameCounters]:
+def ea_m2m(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[np.ndarray, GameCounters]:
     """Full game: preference build, initial association, cluster evolution.
 
     The game never removes an association, so association_ops is the
     final matching's association count.
     """
     state = build_preferences(ctx.channels.gains, config)
-    matching = ea_initial_association(state)
+    assoc = ea_initial_association(state)
     counters = GameCounters()
-    cluster_evolution(state, matching, ctx, demands, config, counters)
-    counters.association_ops = matching.association_count()
-    return matching, counters
+    cluster_evolution(state, assoc, ctx, demands, config, counters)
+    counters.association_ops = int(np.count_nonzero(assoc))
+    return assoc, counters

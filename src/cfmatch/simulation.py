@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ScenarioConfig, generate_layout, step_mobility, realize_channels
-from .evaluate import EvalContext
+from .evaluate import EvalContext, quota_violation
 from .matching import GameCounters
 from .baselines import THRESHOLD_STRATEGIES, get_strategy
 from .streams import substream
@@ -108,11 +108,10 @@ def run_sweep(config: ScenarioConfig, strategies: list[str],
             for cfg, out in zip(configs, records):
                 # a threshold-free strategy's first solve serves every threshold
                 if solved is None or name in THRESHOLD_STRATEGIES:
-                    matching, counters = fn(ctx, demands, cfg)
-                    ev = ctx.evaluate_assoc(matching.assoc, demands)
-                    solved = (ev, matching.association_count(), counters,
-                              matching.quota_violation(cfg.ap_quota, cfg.ue_quota))
-                ev, association_count, counters, quota_violation = solved
+                    assoc, counters = fn(ctx, demands, cfg)
+                    solved = (ctx.evaluate_assoc(assoc, demands), int(np.count_nonzero(assoc)),
+                              counters, quota_violation(assoc, cfg.ap_quota, cfg.ue_quota))
+                ev, association_count, counters, violated = solved
                 out.append(MetricsRecord(
                     timestep=t,
                     strategy=name,
@@ -122,7 +121,7 @@ def run_sweep(config: ScenarioConfig, strategies: list[str],
                         ev.kappa >= cfg.satisfaction_threshold)),
                     association_count=association_count,
                     counters=counters,
-                    quota_violation=quota_violation,
+                    quota_violation=violated,
                 ))
         # free this step's columns before the next step computes its own
         del channels, ctx

@@ -17,7 +17,7 @@ comparison.
 
 import numpy as np
 
-from cfmatch import GameCounters, Matching, PreferenceState
+from cfmatch.matching import GameCounters, PreferenceState
 
 
 def reference_preferences(gains, config):
@@ -33,12 +33,12 @@ def reference_preferences(gains, config):
                            ap_quota=[config.ap_quota] * num_aps)
 
 
-def reference_associate(k, m, state, matching):
-    """associate with its lists filtered afresh: k and m leave each
-    other's lists and each quota drops by one; a player left without
-    quota leaves every list and has its own emptied."""
-    assert state.ue_quota[k] > 0 and state.ap_quota[m] > 0 and not matching.assoc[k, m]
-    matching.assoc[k, m] = True
+def reference_associate(k, m, state, assoc):
+    """associate with its lists filtered afresh: assoc[k, m] is set, k and
+    m leave each other's lists and each quota drops by one; a player left
+    without quota leaves every list and has its own emptied."""
+    assert state.ue_quota[k] > 0 and state.ap_quota[m] > 0 and not assoc[k, m]
+    assoc[k, m] = True
     state.ue_quota[k] -= 1
     state.ap_quota[m] -= 1
     state.ue_prefs[k][:] = [m2 for m2 in state.ue_prefs[k] if m2 != m]
@@ -102,7 +102,7 @@ def reference_evaluate(vectors, assoc, max_power, noise_var, bandwidth, demands)
     return {"power": power, "sinr": sinr, "rate": rate, "kappa": kappa}
 
 
-def reference_swap_matching(matching, ctx, demands, config, counters):
+def reference_swap_matching(assoc, ctx, demands, config, counters):
     """swap_matching with one full evaluate_assoc per trial trade.
 
     Same rule, scan order, restart and cap as the package's scan, with
@@ -110,7 +110,7 @@ def reference_swap_matching(matching, ctx, demands, config, counters):
     different result.
     """
     demands = np.asarray(demands, dtype=float)
-    assoc = matching.assoc.copy()
+    assoc = assoc.copy()
     num_ues = assoc.shape[0]
     cap = config.ue_quota * num_ues * num_ues
 
@@ -146,7 +146,7 @@ def reference_swap_matching(matching, ctx, demands, config, counters):
         counters.swap_count += 1
         if counters.swap_count > cap:
             raise RuntimeError(f"swap refinement exceeded {cap} swaps")
-    return Matching.from_assoc(assoc)
+    return assoc
 
 
 def reference_gca(ctx, demands, config):
@@ -181,7 +181,7 @@ def reference_gca(ctx, demands, config):
     return assoc
 
 
-def reference_cluster_evolution(state, matching, ctx, demands, config, counters,
+def reference_cluster_evolution(state, assoc, ctx, demands, config, counters,
                                 trace=None):
     """cluster_evolution with one full evaluate_assoc per favorable test.
 
@@ -194,11 +194,11 @@ def reference_cluster_evolution(state, matching, ctx, demands, config, counters,
     ("evolve", k, m) to it.
     """
     demands = np.asarray(demands, dtype=float)
-    active = {k for k in range(matching.assoc.shape[0]) if matching.assoc[k].any()}
+    active = {k for k in range(assoc.shape[0]) if assoc[k].any()}
 
     while active:
         tests_at_start = counters.favorable_tests
-        current = ctx.evaluate_assoc(matching.assoc, demands)
+        current = ctx.evaluate_assoc(assoc, demands)
         for k in sorted(active):
             if (current.kappa[k] >= config.satisfaction_threshold
                     or not state.ue_prefs[k]):
@@ -211,16 +211,16 @@ def reference_cluster_evolution(state, matching, ctx, demands, config, counters,
                 counters.favorable_tests += 1
                 if k not in state.ap_prefs[m][:state.ap_quota[m]]:
                     continue
-                trial = matching.assoc.copy()
+                trial = assoc.copy()
                 trial[k, m] = True
                 kappa = ctx.evaluate_assoc(trial, demands).kappa
-                served = matching.assoc.any(axis=1)
+                served = assoc.any(axis=1)
                 if (kappa[k] > current.kappa[k]
                         and float(kappa[served].sum())
                         >= float(current.kappa[served].sum())):
-                    reference_associate(k, m, state, matching)
+                    reference_associate(k, m, state, assoc)
                     counters.association_ops += 1
-                    current = ctx.evaluate_assoc(matching.assoc, demands)
+                    current = ctx.evaluate_assoc(assoc, demands)
                     committed = True
                     if trace is not None:
                         trace.append(("evolve", k, m))
@@ -277,7 +277,7 @@ def reference_da_m2m(ctx, demands, config):
     assoc = np.zeros((num_ues, num_aps), dtype=bool)
     for m in range(num_aps):
         assoc[holding[m], m] = True
-    return Matching.from_assoc(assoc), counters
+    return assoc, counters
 
 
 def reference_ea_initial_association(state, counters, trace=None):
@@ -289,11 +289,11 @@ def reference_ea_initial_association(state, counters, trace=None):
     moves to a fresh place, and must give the same matching, lists and
     quotas.  Every association adds one to counters.association_ops
     and, if trace is given, appends ("init", k, m) to it.  Returns the
-    matching and whether the scan, not the no-progress rule, ended the
+    association matrix and whether the scan, not the no-progress rule, ended the
     rounds while some UE was still requesting.
     """
     num_ues, num_aps = len(state.ue_prefs), len(state.ap_prefs)
-    matching = Matching.empty(num_ues, num_aps)
+    assoc = np.zeros((num_ues, num_aps), dtype=bool)
     rejected = set(range(num_ues))
     pointer = [0] * num_ues
 
@@ -302,7 +302,7 @@ def reference_ea_initial_association(state, counters, trace=None):
                    for k in prefs[:state.ap_quota[m]])
 
     def commit(k, m):
-        reference_associate(k, m, state, matching)
+        reference_associate(k, m, state, assoc)
         counters.association_ops += 1
         if trace is not None:
             trace.append(("init", k, m))
@@ -333,4 +333,4 @@ def reference_ea_initial_association(state, counters, trace=None):
     for k in sorted(rejected):
         if state.ue_prefs[k]:
             commit(k, state.ue_prefs[k][0])
-    return matching, scan_stopped
+    return assoc, scan_stopped

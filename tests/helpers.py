@@ -4,9 +4,10 @@ import sys
 
 import numpy as np
 
-from cfmatch import (ChannelRealization, ScenarioConfig, Matching, EvalContext,
+from cfmatch import (ChannelRealization, ScenarioConfig, EvalContext,
                      generate_layout, realize_channels, draw_demands, substream)
 from cfmatch import matching as matching_module
+from cfmatch.evaluate import quota_violation
 
 from bruteforce import reference_associate, reference_preferences
 
@@ -95,11 +96,11 @@ def records_by_strategy(records):
     return grouped
 
 
-def check_matching_valid(matching, config):
+def check_matching_valid(assoc, config):
     """Definition-level validity: a (K, M) boolean matrix within quotas."""
-    assert matching.assoc.dtype == bool
-    assert matching.assoc.shape == (config.num_ues, config.num_aps)
-    assert not matching.quota_violation(config.ap_quota, config.ue_quota)
+    assert isinstance(assoc, np.ndarray) and assoc.dtype == bool
+    assert assoc.shape == (config.num_ues, config.num_aps)
+    assert not quota_violation(assoc, config.ap_quota, config.ue_quota)
 
 
 def record_commits(monkeypatch):
@@ -112,10 +113,10 @@ def record_commits(monkeypatch):
     commits = []
     associate = matching_module.associate
 
-    def recorded(k, m, state, matching):
+    def recorded(k, m, state, assoc):
         caller = sys._getframe(1).f_code.co_name
         commits.append(("evolve" if caller == "cluster_evolution" else "init", k, m))
-        associate(k, m, state, matching)
+        associate(k, m, state, assoc)
 
     monkeypatch.setattr(matching_module, "associate", recorded)
     return commits
@@ -133,19 +134,19 @@ def replay_ea_trace(ctx, demands, config, trace, final_assoc):
     """
     demands = np.asarray(demands, dtype=float)
     state = reference_preferences(ctx.channels.gains, config)
-    matching = Matching.empty(ctx.num_ues, ctx.num_aps)
+    assoc = np.zeros((ctx.num_ues, ctx.num_aps), dtype=bool)
     evolve_commits = 0
     for kind, k, m in trace:
         if kind == "evolve":
             assert k in state.ap_prefs[m][:state.ap_quota[m]]
-            before = ctx.evaluate_assoc(matching.assoc, demands)
-            served = matching.assoc.any(axis=1)
-            reference_associate(k, m, state, matching)
-            after = ctx.evaluate_assoc(matching.assoc, demands)
+            before = ctx.evaluate_assoc(assoc, demands)
+            served = assoc.any(axis=1)
+            reference_associate(k, m, state, assoc)
+            after = ctx.evaluate_assoc(assoc, demands)
             assert after.kappa[k] > before.kappa[k]
             assert float(after.kappa[served].sum()) >= float(before.kappa[served].sum())
             evolve_commits += 1
         else:
-            reference_associate(k, m, state, matching)
-    np.testing.assert_array_equal(matching.assoc, final_assoc)
+            reference_associate(k, m, state, assoc)
+    np.testing.assert_array_equal(assoc, final_assoc)
     return evolve_commits

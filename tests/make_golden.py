@@ -104,8 +104,8 @@ def scene_steps(label):
     return [next(steps)] if label in LARGE_SCENES else list(steps)
 
 
-def entry(matching, counters) -> dict:
-    assoc = np.ascontiguousarray(matching.assoc, dtype=bool)
+def entry(assoc, counters) -> dict:
+    assoc = np.ascontiguousarray(assoc, dtype=bool)
     return {"assoc_sha256": hashlib.sha256(assoc.tobytes()).hexdigest(),
             **dataclasses.asdict(counters)}
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cfmatch import (ScenarioConfig, EvalContext, run_episode, summarize,
-                     ea_m2m, da_m2m, swap_matching, cmd_run, RunSpec)
+                     ea_m2m, da_m2m, cmd_run, RunSpec)
+from cfmatch.baselines import swap_matching
 
 from bruteforce import reference_evaluate
 from helpers import (small_config, random_channels, random_demands,
@@ -101,17 +102,17 @@ def test_05_constraint_suite():
         da, counters = da_m2m(ctx, demands, cfg)
         matchings["da"] = da
         matchings["da-smp"] = swap_matching(da, ctx, demands, cfg, counters)
-        for m in matchings.values():
-            power = m.assoc * ctx.power_share(m.assoc)
-            binary = (m.assoc.dtype == bool
-                      and m.assoc.shape == (num_ues, num_aps))
+        for assoc in matchings.values():
+            power = assoc * ctx.power_share(assoc)
+            binary = (assoc.dtype == bool
+                      and assoc.shape == (num_ues, num_aps))
             nonneg = (power >= 0).all()
             sums = power.sum(axis=0)
-            loaded = m.assoc.any(axis=0)
+            loaded = assoc.any(axis=0)
             budget = (np.allclose(sums[loaded], cfg.max_power, rtol=1e-12)
                       and not sums[~loaded].any())
-            quotas = ((m.assoc.sum(axis=0) <= cfg.ap_quota).all()
-                      and (m.assoc.sum(axis=1) <= cfg.ue_quota).all())
+            quotas = ((assoc.sum(axis=0) <= cfg.ap_quota).all()
+                      and (assoc.sum(axis=1) <= cfg.ue_quota).all())
             ok = ok and binary and nonneg and budget and quotas
             checked += 1
     _report(5, "constraint suite on randomized instances",
@@ -135,9 +136,9 @@ def test_06_favorable_pair_soundness(monkeypatch):
         ctx = EvalContext(random_channels(rng, num_ues, num_aps, 1), cfg)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
         trace.clear()
-        m, _ = ea_m2m(ctx, demands, cfg)
+        assoc, _ = ea_m2m(ctx, demands, cfg)
         try:
-            commits += replay_ea_trace(ctx, demands, cfg, trace, m.assoc)
+            commits += replay_ea_trace(ctx, demands, cfg, trace, assoc)
         except AssertionError:
             ok = False
             break
@@ -197,8 +198,8 @@ def test_08_counter_bounds(full_runs):
                           noise_var=1e-6)
         ctx = EvalContext(random_channels(rng, num_ues, num_aps, 1), cfg)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        m, counters = da_m2m(ctx, demands, cfg)
-        swap_matching(m, ctx, demands, cfg, counters)  # raises if cap exceeded
+        assoc, counters = da_m2m(ctx, demands, cfg)
+        swap_matching(assoc, ctx, demands, cfg, counters)  # raises if cap exceeded
         cap = cfg.ue_quota * num_ues ** 2
         ok = ok and counters.swap_count <= cap
         max_swaps = max(max_swaps, counters.swap_count)

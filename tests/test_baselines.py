@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfmatch import (ScenarioConfig, Matching, best_channel, min_distance,
-                     canonical, gca, da_m2m, swap_matching, STRATEGIES,
+from cfmatch import (ScenarioConfig, best_channel, min_distance,
+                     canonical, gca, da_m2m, STRATEGIES,
                      get_strategy, GameCounters, ChannelRealization, EvalContext)
 from cfmatch import baselines
-from cfmatch.baselines import SCREEN_MARGIN, _accepts, _pair_trades
+from cfmatch.baselines import SCREEN_MARGIN, _accepts, _pair_trades, swap_matching
 
 from bruteforce import reference_da_m2m, reference_gca, reference_swap_matching
 from make_golden import tie_scene
@@ -30,8 +30,8 @@ def test_best_channel_picks_argmax():
     m, _ = best_channel(EvalContext(ch, cfg), _demands(2), cfg)
     expected = np.array([[False, True, False],
                          [True, False, False]])  # tie at 0.7 -> lower index
-    np.testing.assert_array_equal(m.assoc, expected)
-    assert m.association_count() == 2
+    np.testing.assert_array_equal(m, expected)
+    assert np.count_nonzero(m) == 2
 
 
 def test_min_distance_picks_nearest():
@@ -42,7 +42,7 @@ def test_min_distance_picks_nearest():
                             distances=dists)
     cfg = small_config(2, 2)
     m, _ = min_distance(EvalContext(ch, cfg), _demands(2), cfg)
-    np.testing.assert_array_equal(m.assoc, np.eye(2, dtype=bool))
+    np.testing.assert_array_equal(m, np.eye(2, dtype=bool))
 
 
 def test_distance_and_gain_orders_can_differ():
@@ -57,17 +57,17 @@ def test_distance_and_gain_orders_can_differ():
     ctx = EvalContext(ch, cfg)
     bc, _ = best_channel(ctx, _demands(1), cfg)
     md, _ = min_distance(ctx, _demands(1), cfg)
-    np.testing.assert_array_equal(bc.assoc, [[False, True]])
-    np.testing.assert_array_equal(md.assoc, [[True, False]])
+    np.testing.assert_array_equal(bc, [[False, True]])
+    np.testing.assert_array_equal(md, [[True, False]])
 
 
 def test_canonical_all_pairs():
     cfg = small_config(4, 3)
     ch = random_channels(np.random.default_rng(1), 3, 4, 1)
     m, _ = canonical(EvalContext(ch, cfg), _demands(3), cfg)
-    assert m.association_count() == 12
-    assert (m.assoc.sum(axis=0) == 3).all()
-    assert (m.assoc.sum(axis=1) == 4).all()
+    assert np.count_nonzero(m) == 12
+    assert (m.sum(axis=0) == 3).all()
+    assert (m.sum(axis=1) == 4).all()
 
 
 def test_gca_threshold_window():
@@ -80,14 +80,14 @@ def test_gca_threshold_window():
     cfg = small_config(3, 2, noise_var=1e-2)  # noise high: no pruning gain
     m, _ = gca(EvalContext(ch, cfg), _demands(2), cfg)
     # 0.9e-9 is below 1e-6/1000
-    np.testing.assert_array_equal(m.assoc, [[True, True, False], [True, True, False]])
+    np.testing.assert_array_equal(m, [[True, True, False], [True, True, False]])
 
 
 def test_gca_infinite_window_is_canonical():
     cfg = small_config(3, 2, power_diff_threshold=float("inf"))
     ch = random_channels(np.random.default_rng(3), 2, 3, 1)
     m, _ = gca(EvalContext(ch, cfg), _demands(2), cfg)
-    assert m.association_count() == 6
+    assert np.count_nonzero(m) == 6
 
 
 def test_gca_zero_window_is_best_channel():
@@ -96,7 +96,7 @@ def test_gca_zero_window_is_best_channel():
     ctx = EvalContext(ch, cfg)
     m, _ = gca(ctx, _demands(3), cfg)
     b, _ = best_channel(ctx, _demands(3), cfg)
-    np.testing.assert_array_equal(m.assoc, b.assoc)
+    np.testing.assert_array_equal(m, b)
 
 
 def _gca_pruning_instance():
@@ -139,7 +139,7 @@ def _gca_pruning_instance():
 def test_gca_prunes_harmful_ap():
     ctx, cfg, demands, expected = _gca_pruning_instance()
     m, _ = gca(ctx, demands, cfg)
-    np.testing.assert_array_equal(m.assoc, expected)
+    np.testing.assert_array_equal(m, expected)
 
 
 def test_da_exact_count_at_defaults():
@@ -147,7 +147,7 @@ def test_da_exact_count_at_defaults():
     rng = np.random.default_rng(0)
     ch = random_channels(rng, 20, 50, 2)
     m, counters = da_m2m(EvalContext(ch, cfg), random_demands(rng, cfg), cfg)
-    assert m.association_count() == min(50 * 12, 20 * 8) == 160
+    assert np.count_nonzero(m) == min(50 * 12, 20 * 8) == 160
     check_matching_valid(m, cfg)
     assert counters.da_iterations >= 1
 
@@ -159,14 +159,14 @@ def test_da_everyone_gets_top_choices_without_contention():
     m, _ = da_m2m(EvalContext(ch, cfg), _demands(3), cfg)
     for k in range(3):
         top2 = list(np.argsort(-ch.gains[k], kind="stable")[:2])
-        assert sorted(np.flatnonzero(m.assoc[k])) == sorted(top2)
+        assert sorted(np.flatnonzero(m[k])) == sorted(top2)
 
 
 def test_da_single_pair():
     cfg = small_config(1, 1, ap_quota=1, ue_quota=1)
     ch = random_channels(np.random.default_rng(7), 1, 1, 1)
     m, _ = da_m2m(EvalContext(ch, cfg), _demands(1), cfg)
-    assert m.association_count() == 1
+    assert np.count_nonzero(m) == 1
 
 
 def test_da_respects_quotas_randomized():
@@ -181,7 +181,7 @@ def test_da_respects_quotas_randomized():
         m, _ = da_m2m(EvalContext(ch, cfg), _demands(num_ues), cfg)
         check_matching_valid(m, cfg)
         # with full-length lists the count hits the quota bound exactly
-        assert m.association_count() == min(num_aps * cfg.ap_quota,
+        assert np.count_nonzero(m) == min(num_aps * cfg.ap_quota,
                                             num_ues * cfg.ue_quota)
 
 
@@ -209,7 +209,7 @@ def test_da_matches_reference_loop(num_ues, num_aps, num_seeds):
     for i, (cfg, ctx, demands) in enumerate(scenes):
         out, counters = da_m2m(ctx, demands, cfg)
         ref, ref_counters = reference_da_m2m(ctx, demands, cfg)
-        np.testing.assert_array_equal(out.assoc, ref.assoc, err_msg=f"scene {i}")
+        np.testing.assert_array_equal(out, ref, err_msg=f"scene {i}")
         assert counters == ref_counters, f"scene {i}"
 
 
@@ -218,10 +218,10 @@ def test_swap_fixed_point_on_symmetric_instance():
     vectors = np.full((2, 2, 1), h)
     ch = channels_from_vectors(vectors)
     cfg = small_config(2, 2, ap_quota=1, ue_quota=1, noise_var=1e-9)
-    m = Matching.from_assoc(np.eye(2, dtype=bool))
+    m = np.eye(2, dtype=bool)
     counters = GameCounters()
     out = swap_matching(m, EvalContext(ch, cfg), _demands(2, 1e9), cfg, counters)
-    np.testing.assert_array_equal(out.assoc, m.assoc)
+    np.testing.assert_array_equal(out, m)
     assert counters.swap_count == 0
 
 
@@ -236,13 +236,13 @@ def test_swap_crosses_misassigned_pairs():
     ch = channels_from_vectors(vectors)
     cfg = small_config(2, 2, ap_quota=1, ue_quota=1, noise_var=1e-9)
     demands = _demands(2, 1e9)
-    start = Matching.from_assoc(np.eye(2, dtype=bool))
+    start = np.eye(2, dtype=bool)
     ctx = EvalContext(ch, cfg)
-    before = ctx.evaluate_assoc(start.assoc, demands)
+    before = ctx.evaluate_assoc(start, demands)
     counters = GameCounters()
     out = swap_matching(start, ctx, demands, cfg, counters)
-    after = ctx.evaluate_assoc(out.assoc, demands)
-    np.testing.assert_array_equal(out.assoc,
+    after = ctx.evaluate_assoc(out, demands)
+    np.testing.assert_array_equal(out,
                                   np.array([[False, True], [True, False]]))
     assert counters.swap_count == 1
     assert after.kappa[0] > before.kappa[0]
@@ -262,14 +262,14 @@ def test_swap_preserves_structure_and_sum():
         ctx = EvalContext(ch, cfg)
         m, counters = da_m2m(ctx, _demands(num_ues, 1e8), cfg)
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        before = ctx.evaluate_assoc(m.assoc, demands)
+        before = ctx.evaluate_assoc(m, demands)
         out = swap_matching(m, ctx, demands, cfg, counters)
-        after = ctx.evaluate_assoc(out.assoc, demands)
+        after = ctx.evaluate_assoc(out, demands)
         assert after.kappa.sum() >= before.kappa.sum()
         assert counters.swap_count <= cfg.ue_quota * num_ues ** 2
         # swaps trade APs one-for-one: every load and cluster size kept
-        np.testing.assert_array_equal(out.assoc.sum(axis=0), m.assoc.sum(axis=0))
-        np.testing.assert_array_equal(out.assoc.sum(axis=1), m.assoc.sum(axis=1))
+        np.testing.assert_array_equal(out.sum(axis=0), m.sum(axis=0))
+        np.testing.assert_array_equal(out.sum(axis=1), m.sum(axis=1))
         check_matching_valid(out, cfg)
 
 
@@ -277,8 +277,8 @@ def _da_scene(num_ues, num_aps, seed, **overrides):
     """The DA matching of the first step of a seeded scene, with the
     step's context and demands."""
     cfg, ctx, demands = seeded_scene(num_ues, num_aps, seed, **overrides)
-    matching, _ = da_m2m(ctx, demands, cfg)
-    return cfg, ctx, demands, matching
+    assoc, _ = da_m2m(ctx, demands, cfg)
+    return cfg, ctx, demands, assoc
 
 
 def _trades(ctx, assoc, demands, k, k2):
@@ -306,7 +306,7 @@ def test_swap_matches_reference_scan(num_ues, num_aps, num_seeds, overrides):
         fast, slow = GameCounters(), GameCounters()
         out = swap_matching(start, ctx, demands, cfg, fast)
         ref = reference_swap_matching(start, ctx, demands, cfg, slow)
-        np.testing.assert_array_equal(out.assoc, ref.assoc, err_msg=f"seed {seed}")
+        np.testing.assert_array_equal(out, ref, err_msg=f"seed {seed}")
         assert fast.swap_count == slow.swap_count, f"seed {seed}"
         total_swaps += fast.swap_count
     assert total_swaps > 0
@@ -320,8 +320,7 @@ def test_batched_trade_kappa_matches_exact_evaluation(num_ues, num_aps, override
     worst = 0.0
     trades = 0
     for seed in range(700, 704):
-        cfg, ctx, demands, start = _da_scene(num_ues, num_aps, seed, **overrides)
-        assoc = start.assoc
+        cfg, ctx, demands, assoc = _da_scene(num_ues, num_aps, seed, **overrides)
         for k in range(num_ues):
             for k2 in range(k + 1, num_ues):
                 gives, takes, kappa = _trades(ctx, assoc, demands, k, k2)
@@ -346,7 +345,7 @@ def test_accepts_batch_matches_rows_and_screen_keeps_them():
     # demands leave some UEs saturated at kappa 1 and some below it.
     cfg, ctx, demands, start = _da_scene(10, 25, seed=700)
     demands = 5 * demands
-    current = ctx.evaluate_assoc(start.assoc, demands).kappa
+    current = ctx.evaluate_assoc(start, demands).kappa
     steps = np.array([-1e-10, 0.0, 1e-10])
     taken = screened = 0
     for k in range(10):
@@ -354,7 +353,7 @@ def test_accepts_batch_matches_rows_and_screen_keeps_them():
             near = np.repeat(current[None], steps.size ** 2, axis=0)
             near[:, k] += np.repeat(steps, steps.size)
             near[:, k2] += np.tile(steps, steps.size)
-            batch = np.concatenate([_trades(ctx, start.assoc, demands, k, k2)[2],
+            batch = np.concatenate([_trades(ctx, start, demands, k, k2)[2],
                                     np.minimum(1.0, near)])
             exact = _accepts(batch, current, k, k2)
             np.testing.assert_array_equal(
@@ -374,8 +373,8 @@ def test_swap_of_saturated_ues_evaluates_once(monkeypatch):
     # the screen drops them all and only the starting matching is scored
     cfg, ctx, _, start = _da_scene(10, 25, seed=11)
     demands = np.full(10, 1.0)
-    assert np.all(ctx.evaluate_assoc(start.assoc, demands).kappa == 1.0)
-    assert _trades(ctx, start.assoc, demands, 0, 1)[0].size > 0
+    assert np.all(ctx.evaluate_assoc(start, demands).kappa == 1.0)
+    assert _trades(ctx, start, demands, 0, 1)[0].size > 0
     calls = []
     original = EvalContext.evaluate_assoc
 
@@ -388,7 +387,7 @@ def test_swap_of_saturated_ues_evaluates_once(monkeypatch):
     out = swap_matching(start, ctx, demands, cfg, counters)
     assert len(calls) == 1
     assert counters.swap_count == 0
-    np.testing.assert_array_equal(out.assoc, start.assoc)
+    np.testing.assert_array_equal(out, start)
 
 
 def _gca_seed(ctx, config):
@@ -413,10 +412,10 @@ def test_gca_matches_reference_loop(num_ues, num_aps, num_seeds):
     total_drops = 0
     for i, (cfg, ctx, demands) in enumerate(scenes):
         out, _ = gca(ctx, demands, cfg)
-        np.testing.assert_array_equal(out.assoc, reference_gca(ctx, demands, cfg),
+        np.testing.assert_array_equal(out, reference_gca(ctx, demands, cfg),
                                       err_msg=f"scene {i}")
         total_drops += int(np.count_nonzero(_gca_seed(ctx, cfg).any(axis=0))
-                           - np.count_nonzero(out.assoc.any(axis=0)))
+                           - np.count_nonzero(out.any(axis=0)))
     assert total_drops > 0
 
 
@@ -516,7 +515,7 @@ def test_gca_memory_is_a_few_drop_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 2 * out.assoc.sum(axis=1).max() > ctx.num_aps
+    assert 2 * out.sum(axis=1).max() > ctx.num_aps
     assert peak < 16 * ctx.num_ues ** 2 * ctx.num_aps / 2
 
 
@@ -552,9 +551,9 @@ def test_gca_confirms_only_screen_survivors(monkeypatch):
     monkeypatch.setattr(baselines, "_drop_gains", gains)
     monkeypatch.setattr(baselines, "_may_win", screen)
     out, _ = gca(ctx, demands, cfg)
-    np.testing.assert_array_equal(out.assoc, expected)
+    np.testing.assert_array_equal(out, expected)
     drops = int(np.count_nonzero(_gca_seed(ctx, cfg).any(axis=0))
-                - np.count_nonzero(out.assoc.any(axis=0)))
+                - np.count_nonzero(out.any(axis=0)))
     # one round per drop plus the last
     assert drops > 0
     assert len(survivors) == drops + 1
@@ -613,7 +612,7 @@ def test_gca_certified_rounds_are_exact(monkeypatch, num_ues, num_aps):
     for cfg, ctx, demands in scenes:
         rounds = []
         out, _ = gca(ctx, demands, cfg)
-        rounds.append((out.assoc, calls))
+        rounds.append((out, calls))
 
         def min_se(a):
             return float(np.log2(1.0 + original_eval(ctx, a, demands).sinr).min())
@@ -661,10 +660,10 @@ def test_registry_uniform_signature():
     demands = _demands(2)
     ctx = EvalContext(ch, cfg)
     for name in STRATEGIES:
-        matching, counters = get_strategy(name)(ctx, demands, cfg)
-        assert isinstance(matching, Matching)
+        assoc, counters = get_strategy(name)(ctx, demands, cfg)
+        assert isinstance(assoc, np.ndarray)
         assert isinstance(counters, GameCounters)
-        assert matching.assoc.dtype == bool and matching.assoc.shape == (2, 3)
+        assert assoc.dtype == bool and assoc.shape == (2, 3)
 
 
 @pytest.mark.parametrize("num_ues, num_aps", [(5, 8), (10, 25)])
@@ -681,8 +680,7 @@ def test_threshold_free_strategies_ignore_the_threshold(num_ues, num_aps):
         for k0 in (0.5, 0.8, 1.0):
             cfg = replace(cfg, satisfaction_threshold=k0)
             for name in STRATEGIES:
-                matching, counters = get_strategy(name)(ctx, demands, cfg)
-                outcomes.setdefault(name, []).append((matching.assoc, counters))
+                outcomes.setdefault(name, []).append(get_strategy(name)(ctx, demands, cfg))
         for name in free:
             (assoc, counters), *others = outcomes[name]
             for other_assoc, other_counters in others:

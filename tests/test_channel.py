@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cfmatch import (ScenarioConfig, Layout, generate_layout, step_mobility,
-                     path_gain, draw_shadowing, realize_channels, substream)
-from cfmatch.channel import MIN_DISTANCE, SPEED_OF_LIGHT
+                     realize_channels, substream)
+from cfmatch.channel import MIN_DISTANCE, SPEED_OF_LIGHT, draw_shadowing, path_gain
 
 
 def test_config_defaults():

@@ -79,8 +79,12 @@ def test_runspec_validation():
         RunSpec(None, ["ea"], [], [1.0], "out", "csv")
     with pytest.raises(ValueError, match="seed"):
         RunSpec(None, ["ea"], [-1], [1.0], "out", "csv")
-    with pytest.raises(ValueError, match="kappa0"):
-        RunSpec(None, ["ea"], [1], [1.5], "out", "csv")
+    for seeds in ([1.5], [True], ["1"], [None]):
+        with pytest.raises(ValueError, match="seeds"):
+            RunSpec(None, ["ea"], seeds, [1.0], "out", "csv")
+    for kappa0 in ([1.5], [-0.1], [float("nan")], ["0.5"], [True], [None]):
+        with pytest.raises(ValueError, match="kappa0"):
+            RunSpec(None, ["ea"], [1], kappa0, "out", "csv")
     with pytest.raises(ValueError, match="seeds must not repeat"):
         RunSpec(None, ["ea"], [1, 2, 1], [1.0], "out", "csv")
     with pytest.raises(ValueError, match="strategies must not repeat"):

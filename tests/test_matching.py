@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmatch import (Matching, build_preferences, associate,
-                     ea_initial_association, is_favorable_pair,
-                     cluster_evolution, ea_m2m, get_strategy, STRATEGIES,
-                     GameCounters, EvalContext)
+from cfmatch import ea_m2m, get_strategy, STRATEGIES, GameCounters, EvalContext
 from cfmatch import matching as matching_module
-from cfmatch.matching import _GrowingScores
+from cfmatch.matching import (_GrowingScores, build_preferences, associate,
+                              ea_initial_association, is_favorable_pair,
+                              cluster_evolution)
 
 from bruteforce import (reference_cluster_evolution, reference_ea_initial_association,
                         reference_preferences)
@@ -46,9 +45,9 @@ def test_associate_updates_both_sides():
     gains = np.array([[2.0, 1.0], [1.5, 0.5]])
     cfg = small_config(2, 2, ap_quota=2, ue_quota=2)
     state = build_preferences(gains, cfg)
-    m = Matching.empty(2, 2)
-    associate(0, 1, state, m)
-    assert m.assoc[0, 1]
+    assoc = np.zeros((2, 2), dtype=bool)
+    associate(0, 1, state, assoc)
+    assert assoc[0, 1]
     assert 1 not in state.ue_prefs[0]
     assert 0 not in state.ap_prefs[1]
     assert state.ue_quota[0] == 1
@@ -59,8 +58,8 @@ def test_associate_ap_saturation_clears_all_lists():
     gains = np.array([[2.0, 1.0], [1.5, 0.5], [1.0, 0.1]])
     cfg = small_config(2, 3, ap_quota=1, ue_quota=2)
     state = build_preferences(gains, cfg)
-    m = Matching.empty(3, 2)
-    associate(1, 0, state, m)  # AP 0 quota 1 -> saturated
+    assoc = np.zeros((3, 2), dtype=bool)
+    associate(1, 0, state, assoc)  # AP 0 quota 1 -> saturated
     assert state.ap_quota[0] == 0
     assert all(0 not in prefs for prefs in state.ue_prefs)
     assert state.ap_prefs[0] == []
@@ -70,8 +69,8 @@ def test_associate_ue_saturation_clears_all_lists():
     gains = np.array([[2.0, 1.0, 0.5], [1.5, 0.5, 0.2]])
     cfg = small_config(3, 2, ap_quota=2, ue_quota=1)
     state = build_preferences(gains, cfg)
-    m = Matching.empty(2, 3)
-    associate(0, 2, state, m)  # UE 0 quota 1 -> saturated
+    assoc = np.zeros((2, 3), dtype=bool)
+    associate(0, 2, state, assoc)  # UE 0 quota 1 -> saturated
     assert state.ue_quota[0] == 0
     assert all(0 not in prefs for prefs in state.ap_prefs)
     assert state.ue_prefs[0] == []
@@ -81,20 +80,20 @@ def test_associate_contract_errors():
     gains = np.array([[2.0, 1.0], [1.5, 0.5]])
     cfg = small_config(2, 2, ap_quota=1, ue_quota=2)
     state = build_preferences(gains, cfg)
-    m = Matching.empty(2, 2)
-    associate(0, 0, state, m)
+    assoc = np.zeros((2, 2), dtype=bool)
+    associate(0, 0, state, assoc)
     with pytest.raises(ValueError):
-        associate(1, 0, state, m)  # AP 0 exhausted
+        associate(1, 0, state, assoc)  # AP 0 exhausted
     with pytest.raises(ValueError):
-        associate(0, 0, state, m)  # repeat
+        associate(0, 0, state, assoc)  # repeat
 
 
 def test_initial_association_single_pair():
     gains = np.array([[1.0]])
     cfg = small_config(1, 1)
     state = build_preferences(gains, cfg)
-    m = ea_initial_association(state)
-    assert m.assoc[0, 0]
+    assoc = ea_initial_association(state)
+    assert assoc[0, 0]
 
 
 def test_initial_association_clamped_pointer_round_two(monkeypatch):
@@ -107,10 +106,10 @@ def test_initial_association_clamped_pointer_round_two(monkeypatch):
     cfg = small_config(2, 2, ap_quota=1, ue_quota=1)
     state = build_preferences(gains, cfg)
     commits = record_commits(monkeypatch)
-    m = ea_initial_association(state)
+    assoc = ea_initial_association(state)
     assert commits == [("init", 1, 0), ("init", 0, 1)]
     expected = np.array([[False, True], [True, False]])
-    np.testing.assert_array_equal(m.assoc, expected)
+    np.testing.assert_array_equal(assoc, expected)
 
 
 def test_initial_association_forced_branch(monkeypatch):
@@ -123,17 +122,17 @@ def test_initial_association_forced_branch(monkeypatch):
     cfg = small_config(2, 2, ap_quota=1, ue_quota=2)
     state = build_preferences(gains, cfg)
     commits = record_commits(monkeypatch)
-    m = ea_initial_association(state)
+    assoc = ea_initial_association(state)
     expected = np.array([[True, False], [False, True]])
-    np.testing.assert_array_equal(m.assoc, expected)
+    np.testing.assert_array_equal(assoc, expected)
     assert commits == [("init", 0, 0), ("init", 1, 1)]
 
 
 def test_initial_association_no_aps():
     cfg = small_config(1, 2)  # quota fields only; dims come from gains
     state = build_preferences(np.zeros((2, 0)), cfg)
-    m = ea_initial_association(state)
-    assert m.assoc.shape == (2, 0)
+    assoc = ea_initial_association(state)
+    assert assoc.shape == (2, 0)
 
 
 def test_initial_association_matches_reference_stopping_scan(monkeypatch):
@@ -154,12 +153,12 @@ def test_initial_association_matches_reference_stopping_scan(monkeypatch):
             gains = 10.0 ** rng.uniform(-9.0, -6.0, size=(num_ues, num_aps))
         state, ref_state = build_preferences(gains, cfg), reference_preferences(gains, cfg)
         commits.clear()
-        m = ea_initial_association(state)
+        assoc = ea_initial_association(state)
         counters, trace = GameCounters(), []
         ref, scan_stopped = reference_ea_initial_association(ref_state, counters, trace)
-        np.testing.assert_array_equal(m.assoc, ref.assoc, err_msg=f"scene {scene}")
+        np.testing.assert_array_equal(assoc, ref, err_msg=f"scene {scene}")
         assert commits == trace, f"scene {scene}"
-        assert counters.association_ops == m.association_count(), f"scene {scene}"
+        assert counters.association_ops == np.count_nonzero(assoc), f"scene {scene}"
         assert state == ref_state, f"scene {scene}"
         stopped_early += scan_stopped
     assert stopped_early > 0  # the reference's scan did cut some rounds short
@@ -175,14 +174,14 @@ def test_initial_association_single_ap_per_ue():
                           ue_quota=int(rng.integers(1, num_aps + 1)))
         ch = random_channels(rng, num_ues, num_aps, 1)
         state = build_preferences(ch.gains, cfg)
-        m = ea_initial_association(state)
-        assert (m.assoc.sum(axis=1) <= 1).all()
+        assoc = ea_initial_association(state)
+        assert (assoc.sum(axis=1) <= 1).all()
         # a UE is left unassociated only once its list is empty
-        assert all(m.assoc[k].any() or not state.ue_prefs[k] for k in range(num_ues))
-        check_matching_valid(m, cfg)
+        assert all(assoc[k].any() or not state.ue_prefs[k] for k in range(num_ues))
+        check_matching_valid(assoc, cfg)
         # remaining quotas track cluster sizes exactly
-        assert state.ue_quota == list(cfg.ue_quota - m.assoc.sum(axis=1))
-        assert state.ap_quota == list(cfg.ap_quota - m.assoc.sum(axis=0))
+        assert state.ue_quota == list(cfg.ue_quota - assoc.sum(axis=1))
+        assert state.ap_quota == list(cfg.ap_quota - assoc.sum(axis=0))
 
 
 def _favorable_fixture():
@@ -192,17 +191,18 @@ def _favorable_fixture():
     cfg = small_config(2, 1, noise_var=1e-8, bandwidth=20e6,
                       satisfaction_threshold=1.0)
     state = build_preferences(ch.gains, cfg)
-    m = Matching.empty(1, 2)
-    associate(0, 0, state, m)
-    return EvalContext(ch, cfg), cfg, state, m
+    assoc = np.zeros((1, 2), dtype=bool)
+    associate(0, 0, state, assoc)
+    return EvalContext(ch, cfg), cfg, state, assoc
 
 
 def test_favorable_pair_accepts_clean_improvement():
-    ctx, cfg, state, m = _favorable_fixture()
+    ctx, cfg, state, assoc = _favorable_fixture()
     demands = np.array([1e9])  # far beyond one AP's rate
-    assert is_favorable_pair(1, 0, state, m, ctx, demands)
+    assert is_favorable_pair(1, 0, state, assoc, ctx, demands)
     # a known current evaluation gives the same verdict
-    assert is_favorable_pair(1, 0, state, m, ctx, demands, ctx.evaluate_assoc(m.assoc, demands))
+    current = ctx.evaluate_assoc(assoc, demands)
+    assert is_favorable_pair(1, 0, state, assoc, ctx, demands, current)
 
 
 def test_favorable_pair_rejects_outside_window():
@@ -214,19 +214,19 @@ def test_favorable_pair_rejects_outside_window():
     ch = channels_from_vectors(vectors)
     cfg = small_config(2, 2, ap_quota=1, ue_quota=2, noise_var=1e-3)
     state = build_preferences(ch.gains, cfg)
-    m = Matching.empty(2, 2)
-    associate(0, 0, state, m)
+    assoc = np.zeros((2, 2), dtype=bool)
+    associate(0, 0, state, assoc)
     demands = np.array([1e12, 1e12])
     assert state.ap_prefs[1] == [1, 0]
-    assert not is_favorable_pair(1, 0, state, m, EvalContext(ch, cfg), demands)
+    assert not is_favorable_pair(1, 0, state, assoc, EvalContext(ch, cfg), demands)
 
 
 def test_favorable_pair_requires_strict_gain():
-    ctx, cfg, state, m = _favorable_fixture()
+    ctx, cfg, state, assoc = _favorable_fixture()
     demands = np.array([1.0])  # already fully satisfied: kappa == 1
-    ev = ctx.evaluate_assoc(m.assoc, demands)
+    ev = ctx.evaluate_assoc(assoc, demands)
     assert ev.kappa[0] == 1.0
-    assert not is_favorable_pair(1, 0, state, m, ctx, demands, ev)
+    assert not is_favorable_pair(1, 0, state, assoc, ctx, demands, ev)
 
 
 def _interference_tradeoff_instance():
@@ -261,15 +261,15 @@ def _interference_tradeoff_instance():
 
 
 def test_favorable_pair_sum_guard_rejects():
-    ctx, cfg, demands, assoc = _interference_tradeoff_instance()
+    ctx, cfg, demands, expected = _interference_tradeoff_instance()
     state = build_preferences(ctx.channels.gains, cfg)
-    m = Matching.empty(2, 3)
-    associate(0, 0, state, m)
-    associate(1, 1, state, m)
-    np.testing.assert_array_equal(m.assoc, assoc)
+    assoc = np.zeros((2, 3), dtype=bool)
+    associate(0, 0, state, assoc)
+    associate(1, 1, state, assoc)
+    np.testing.assert_array_equal(assoc, expected)
     # UE 0's own satisfaction would strictly rise, yet the pair is
     # rejected because the network sum would drop
-    assert not is_favorable_pair(2, 0, state, m, ctx, demands)
+    assert not is_favorable_pair(2, 0, state, assoc, ctx, demands)
 
 
 def test_evolution_all_satisfied_adds_nothing():
@@ -277,42 +277,42 @@ def test_evolution_all_satisfied_adds_nothing():
     ch = channels_from_vectors(vectors)
     cfg = small_config(2, 1, noise_var=1e-9, satisfaction_threshold=1.0)
     state = build_preferences(ch.gains, cfg)
-    m = Matching.empty(1, 2)
-    associate(0, 0, state, m)
+    assoc = np.zeros((1, 2), dtype=bool)
+    associate(0, 0, state, assoc)
     ctx = EvalContext(ch, cfg)
     demands = np.array([1.0])
     counters = GameCounters()
-    cluster_evolution(state, m, ctx, demands, cfg, counters)
-    assert ctx.evaluate_assoc(m.assoc, demands).kappa[0] >= cfg.satisfaction_threshold
-    assert m.association_count() == 1
+    cluster_evolution(state, assoc, ctx, demands, cfg, counters)
+    assert ctx.evaluate_assoc(assoc, demands).kappa[0] >= cfg.satisfaction_threshold
+    assert np.count_nonzero(assoc) == 1
     assert counters.favorable_tests == 0
 
 
 def test_evolution_adds_favorable_ap_then_settles(monkeypatch):
-    ctx, cfg, state, m = _favorable_fixture()
+    ctx, cfg, state, assoc = _favorable_fixture()
     demands = np.array([1e9])
     counters = GameCounters()
     commits = record_commits(monkeypatch)
-    cluster_evolution(state, m, ctx, demands, cfg, counters)
+    cluster_evolution(state, assoc, ctx, demands, cfg, counters)
     assert commits == [("evolve", 0, 1)]
-    assert m.assoc[0, 1]
+    assert assoc[0, 1]
     assert counters.favorable_tests >= 1
     assert counters.tests_per_round
 
 
 def test_evolution_no_favorable_pair_leaves_unsatisfied():
-    ctx, cfg, demands, assoc = _interference_tradeoff_instance()
+    ctx, cfg, demands, _ = _interference_tradeoff_instance()
     state = build_preferences(ctx.channels.gains, cfg)
-    m = Matching.empty(2, 3)
-    associate(0, 0, state, m)
-    associate(1, 1, state, m)
+    assoc = np.zeros((2, 3), dtype=bool)
+    associate(0, 0, state, assoc)
+    associate(1, 1, state, assoc)
     # make UE 1's side also unable to improve: demands already arranged
     # so that any addition for UE 0 hurts the sum; UE 1 gets the same
     # treatment by dropping its remaining candidates
     counters = GameCounters()
-    before = ctx.evaluate_assoc(m.assoc, demands)
-    cluster_evolution(state, m, ctx, demands, cfg, counters)
-    after = ctx.evaluate_assoc(m.assoc, demands)
+    before = ctx.evaluate_assoc(assoc, demands)
+    cluster_evolution(state, assoc, ctx, demands, cfg, counters)
+    after = ctx.evaluate_assoc(assoc, demands)
     # nobody may end up worse than where evolution started
     assert (after.kappa >= before.kappa - 1e-15).all()
 
@@ -323,12 +323,12 @@ def test_evolution_satisfaction_classified_before_scanning():
     ch = channels_from_vectors(vectors)
     cfg = small_config(2, 1, noise_var=1e-9, satisfaction_threshold=0.8)
     state = build_preferences(ch.gains, cfg)
-    m = Matching.empty(1, 2)
-    associate(0, 0, state, m)
+    assoc = np.zeros((1, 2), dtype=bool)
+    associate(0, 0, state, assoc)
     ctx = EvalContext(ch, cfg)
     counters = GameCounters()
-    cluster_evolution(state, m, ctx, np.array([1.0]), cfg, counters)
-    assert ctx.evaluate_assoc(m.assoc, np.array([1.0])).kappa[0] >= 0.8
+    cluster_evolution(state, assoc, ctx, np.array([1.0]), cfg, counters)
+    assert ctx.evaluate_assoc(assoc, np.array([1.0])).kappa[0] >= 0.8
     assert counters.favorable_tests == 0
 
 
@@ -338,11 +338,11 @@ def test_ea_m2m_respects_quotas_at_scale():
     rng = np.random.default_rng(2)
     ch = random_channels(rng, 20, 50, 4)
     demands = random_demands(rng, cfg)
-    m, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
-    check_matching_valid(m, cfg)
-    assert (m.assoc.sum(axis=0) <= 12).all()
-    assert (m.assoc.sum(axis=1) <= 8).all()
-    assert m.association_count() <= min(50 * 12, 20 * 8)
+    assoc, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
+    check_matching_valid(assoc, cfg)
+    assert (assoc.sum(axis=0) <= 12).all()
+    assert (assoc.sum(axis=1) <= 8).all()
+    assert np.count_nonzero(assoc) <= min(50 * 12, 20 * 8)
 
 
 def test_ea_m2m_randomized_structure():
@@ -357,9 +357,9 @@ def test_ea_m2m_randomized_structure():
                           satisfaction_threshold=float(rng.choice([0.8, 0.9, 1.0])))
         ch = random_channels(rng, num_ues, num_aps, int(rng.integers(1, 3)))
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
-        m, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
-        check_matching_valid(m, cfg)
-        assert m.association_count() <= min(num_aps * cfg.ap_quota,
+        assoc, counters = ea_m2m(EvalContext(ch, cfg), demands, cfg)
+        check_matching_valid(assoc, cfg)
+        assert np.count_nonzero(assoc) <= min(num_aps * cfg.ap_quota,
                                             num_ues * cfg.ue_quota)
         # per-round favorable tests bounded by quota * K
         assert all(t <= cfg.ue_quota * num_ues for t in counters.tests_per_round)
@@ -380,8 +380,8 @@ def test_ea_m2m_trace_replay_validates_commits(monkeypatch):
         demands = rng.choice([5e6, 3e7, 1e8], size=num_ues)
         ctx = EvalContext(ch, cfg)
         commits.clear()
-        m, counters = ea_m2m(ctx, demands, cfg)
-        total_commits += replay_ea_trace(ctx, demands, cfg, commits, m.assoc)
+        assoc, counters = ea_m2m(ctx, demands, cfg)
+        total_commits += replay_ea_trace(ctx, demands, cfg, commits, assoc)
     assert total_commits > 0  # the loop actually exercised evolution
 
 
@@ -396,15 +396,15 @@ def test_ea_m2m_accepts_prebuilt_context():
         get_strategy(name)(shared, demands, cfg)
     a, _ = ea_m2m(EvalContext(ch, cfg), demands, cfg)
     b, _ = ea_m2m(shared, demands, cfg)
-    np.testing.assert_array_equal(a.assoc, b.assoc)
+    np.testing.assert_array_equal(a, b)
 
 
 def _evolution_start(cfg, ctx):
-    """(state, matching, counters) after the initial phase; counters
+    """(state, assoc, counters) after the initial phase; counters
     holds the initial phase's association count."""
     state = build_preferences(ctx.channels.gains, cfg)
-    matching = ea_initial_association(state)
-    return state, matching, GameCounters(association_ops=matching.association_count())
+    assoc = ea_initial_association(state)
+    return state, assoc, GameCounters(association_ops=np.count_nonzero(assoc))
 
 
 def _evolve_both(cfg, ctx, demands, commits):
@@ -412,15 +412,15 @@ def _evolve_both(cfg, ctx, demands, commits):
     own initial phase, as (assoc, evolve commits, counters).  commits is
     the list record_commits fills; the package's association_ops is set
     from its final matching as ea_m2m does, the reference counts its own."""
-    state, matching, counters = _evolution_start(cfg, ctx)
+    state, assoc, counters = _evolution_start(cfg, ctx)
     ref_state, ref_counters = reference_preferences(ctx.channels.gains, cfg), GameCounters()
-    ref_matching, _ = reference_ea_initial_association(ref_state, ref_counters)
+    ref_assoc, _ = reference_ea_initial_association(ref_state, ref_counters)
     commits.clear()
-    cluster_evolution(state, matching, ctx, demands, cfg, counters)
-    counters.association_ops = matching.association_count()
+    cluster_evolution(state, assoc, ctx, demands, cfg, counters)
+    counters.association_ops = np.count_nonzero(assoc)
     trace = []
-    reference_cluster_evolution(ref_state, ref_matching, ctx, demands, cfg, ref_counters, trace)
-    return (matching.assoc, list(commits), counters), (ref_matching.assoc, trace, ref_counters)
+    reference_cluster_evolution(ref_state, ref_assoc, ctx, demands, cfg, ref_counters, trace)
+    return (assoc, list(commits), counters), (ref_assoc, trace, ref_counters)
 
 
 @pytest.mark.parametrize("num_ues, num_aps, num_seeds", [
@@ -486,10 +486,10 @@ def test_growing_scores_match_exact_evaluation(scene):
     saturated = 0
     mixed = 0  # windows padding a load-0 AP (c = 1) to wider loads
     for cfg, ctx, demands in scenes:
-        state, matching, _ = _evolution_start(cfg, ctx)
-        scores = _GrowingScores(ctx, matching, demands)
+        state, assoc, _ = _evolution_start(cfg, ctx)
+        scores = _GrowingScores(ctx, assoc, demands)
         while True:
-            exact = ctx.evaluate_assoc(matching.assoc, demands).kappa
+            exact = ctx.evaluate_assoc(assoc, demands).kappa
             worst = max(worst, float(np.abs(scores.kappa - exact).max()))
             # the saturated flag promises exact kappa 1
             assert np.all(exact[scores.saturated] == 1.0)
@@ -499,16 +499,16 @@ def test_growing_scores_match_exact_evaluation(scene):
                 break
             k = open_ues[rng.integers(len(open_ues))]
             window = state.ue_prefs[k][:state.ue_quota[k]]
-            loads = set(matching.assoc[:, window].sum(axis=0).tolist())
+            loads = set(assoc[:, window].sum(axis=0).tolist())
             mixed += int(0 in loads and len(loads) > 2)
             for m, kappa in zip(window, scores.add_kappa(k, window)):
-                trial = matching.assoc.copy()
+                trial = assoc.copy()
                 trial[k, m] = True
                 exact = ctx.evaluate_assoc(trial, demands).kappa
                 worst = max(worst, float(np.abs(kappa - exact).max()))
                 adds += 1
             m = window[rng.integers(len(window))]
-            associate(k, m, state, matching)
+            associate(k, m, state, assoc)
             scores.commit(m)
     assert adds > 0 and saturated > 0
     # the tie scenes' loads stay too small to mix three of them
@@ -522,11 +522,11 @@ def test_add_kappa_memory_follows_the_changed_columns():
     # K^2 16 bytes; an add moves only its load's c columns, and scoring
     # from those needs a small fraction of that
     cfg, ctx, demands = seeded_scene(70, 140, 0)
-    state, matching, _ = _evolution_start(cfg, ctx)
-    scores = _GrowingScores(ctx, matching, demands)
+    state, assoc, _ = _evolution_start(cfg, ctx)
+    scores = _GrowingScores(ctx, assoc, demands)
     k = next(k for k in range(cfg.num_ues) if len(state.ue_prefs[k]) >= 8)
     window = state.ue_prefs[k][:8]
-    assert matching.assoc[:, window].any()
+    assert assoc[:, window].any()
     tracemalloc.start()
     try:
         scores.add_kappa(k, window)
@@ -548,7 +548,7 @@ def test_ea_evaluates_exactly_only_near_ties(monkeypatch):
 
     monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
     out, counters = ea_m2m(ctx, demands, cfg)
-    np.testing.assert_array_equal(out.assoc, expected[0])
+    np.testing.assert_array_equal(out, expected[0])
     assert counters == expected[2]
     # evaluating every test and every matching would take one call per
     # round, per window test and per commit
@@ -570,11 +570,11 @@ def test_association_ops_is_the_association_count():
               for num_ues, num_aps in ((5, 8), (10, 25)) for seed in range(760, 766)]
     scenes += [tie_scene("dup-aps"), tie_scene("dup-pairs")]
     for cfg, ctx, demands in scenes:
-        matching, counters = ea_m2m(ctx, demands, cfg)
+        assoc, counters = ea_m2m(ctx, demands, cfg)
         reference = GameCounters()
         state = reference_preferences(ctx.channels.gains, cfg)
         ref, _ = reference_ea_initial_association(state, reference)
         reference_cluster_evolution(state, ref, ctx, demands, cfg, reference)
-        np.testing.assert_array_equal(ref.assoc, matching.assoc)
-        assert counters.association_ops == matching.association_count()
+        np.testing.assert_array_equal(ref, assoc)
+        assert counters.association_ops == np.count_nonzero(assoc)
         assert counters == reference

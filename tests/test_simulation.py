@@ -156,8 +156,8 @@ def test_run_episode_demand_refresh_episode():
         ch = realize_channels(layout, cfg, substream(seed, "shadowing", t),
                               substream(seed, "fading", t))
         ctx = EvalContext(ch, cfg)
-        matching, _ = fn(ctx, demands, cfg)
-        ev = ctx.evaluate_assoc(matching.assoc, demands)
+        assoc, _ = fn(ctx, demands, cfg)
+        ev = ctx.evaluate_assoc(assoc, demands)
         np.testing.assert_array_equal(rec.kappa, ev.kappa)
 
 
