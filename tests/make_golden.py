@@ -10,7 +10,9 @@ the second, UE rows) so that gains tie exactly and every tie-break
 rule decides something.  Three larger scenes pin only their first step
 and the strategies that run at that size: 70x140 for ea, da, bc, md and
 cs, 30x60 for gca, whose clusters start wider than M/2 and shrink below
-it, and 50x100 for gca, its largest pinned scene (25 drops).
+it, 50x100 for gca, its largest pinned scene (25 drops), and 24x120 for
+da-smp, whose 1.05 MB of columns puts its swap scan on the context's
+computed-on-first-read columns (17 swaps).
 test_golden.py recomputes the corpus and compares.  Regenerate it only
 for a change meant to alter a matching, and say why in CHANGES.md.
 """
@@ -39,7 +41,8 @@ NUM_STEPS = 2
 EA_THRESHOLDS = (0.5, 1.0)
 # first step only, with the strategies named
 LARGE_SCENES = {"70x140-seed0": ("ea", "da", "bc", "md", "cs"),
-                "30x60-seed0": ("gca",), "50x100-seed0": ("gca",)}
+                "30x60-seed0": ("gca",), "50x100-seed0": ("gca",),
+                "24x120-seed0": ("da-smp",)}
 
 
 def seeded_steps(num_ues, num_aps, seed):

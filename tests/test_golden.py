@@ -18,8 +18,8 @@ def test_corpus_covers_every_scene():
     assert sorted(GOLDEN) == sorted(SCENES)
     # 7 strategies, ea at two thresholds: 8 entries per step of the small
     # scenes; 6 on the 70x140 step (ea twice, da, bc, md, cs), 1 each at
-    # 30x60 and 50x100
-    assert sum(len(entries) for entries in GOLDEN.values()) == 8 * (2 * 9 + 2) + 6 + 1 + 1
+    # 30x60, 50x100 and 24x120
+    assert sum(len(entries) for entries in GOLDEN.values()) == 8 * (2 * 9 + 2) + 6 + 1 + 1 + 1
 
 
 @pytest.mark.parametrize("label", SCENES)
