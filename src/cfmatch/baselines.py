@@ -56,7 +56,9 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[np.ndarray, 
     Gram matrix is Hermitian, its row j the conjugate of column (m, j).
     """
     gains = ctx.channels.gains
-    floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
+    # 10 ** (t / 10) overflows near 3082.5 dB; a wider window seeds every AP, as +inf does
+    t = config.power_diff_threshold
+    floor = gains.max(axis=1) / (10.0 ** (t / 10.0) if t <= 3082.5 else np.inf)
     assoc = gains >= floor[:, None]
 
     def min_se(a: np.ndarray) -> float:
@@ -207,30 +209,26 @@ def swap_matching(assoc: np.ndarray, ctx: EvalContext, demands, config: Scenario
     sizes, so quotas stay valid.  The committed-swap count is capped at
     ue_quota * K^2; exceeding it raises SwapCapExceeded.
 
-    All trades of one UE pair are scored at once from the cached
-    amplitudes; only those that might pass the rule are re-scored by
-    the exact evaluator, in scan order, which alone decides.
+    All trades of one UE pair are scored at once from the two amplitude
+    columns each changes; only those that might pass the rule are
+    re-scored by the exact evaluator, in scan order, which alone decides.
     """
     demands = np.asarray(demands, dtype=float)
     assoc = assoc.copy()
     num_ues = assoc.shape[0]
     cap = config.ue_quota * num_ues * num_ues
-    # loads never change, so neither does any pair's beam weight; trades
-    # read nearly every column, so all are taken once: K^2 M, as in gca
+    # loads never change, so neither does any pair's beam weight
     weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
-    cross = ctx.columns(np.arange(ctx.num_aps)[:, None], np.arange(num_ues))
 
     def find_swap(current):
-        amp = ctx.amplitudes(assoc * weight)
+        base = _scan_base(ctx, assoc, weight)
         for k in range(num_ues):
             for k2 in range(k + 1, num_ues):
-                gives, takes, kappa = _pair_trades(ctx, cross, assoc, weight, amp, demands, k, k2)
-                for t in np.flatnonzero(_accepts(kappa, current.kappa, k, k2, SCREEN_MARGIN)):
+                only_k, only_k2, kappa = _pair_trades(ctx, assoc, weight, base, demands, k, k2)
+                for g, a in zip(*_accepts(kappa, current.kappa, k, k2, SCREEN_MARGIN).nonzero()):
                     trial = assoc.copy()
-                    trial[k, gives[t]] = False
-                    trial[k2, takes[t]] = False
-                    trial[k, takes[t]] = True
-                    trial[k2, gives[t]] = True
+                    trial[k, only_k[g]] = trial[k2, only_k2[a]] = False
+                    trial[k, only_k2[a]] = trial[k2, only_k[g]] = True
                     ev = ctx.evaluate_assoc(trial, demands)
                     if _accepts(ev.kappa, current.kappa, k, k2):
                         return trial, ev
@@ -248,24 +246,46 @@ def swap_matching(assoc: np.ndarray, ctx: EvalContext, demands, config: Scenario
     return assoc
 
 
-def _pair_trades(ctx, cross, assoc, weight, amp, demands, k, k2):
-    """Every AP trade of UEs k < k2 in scan order, with batched kappa.
+def _scan_base(ctx, assoc, weight):
+    """A scan's amplitudes, the diagonal of |amp|^2, and |amp|^2 off it."""
+    amp = ctx.amplitudes(assoc * weight)
+    power = np.abs(amp) ** 2
+    signal = np.diagonal(power).copy()
+    np.fill_diagonal(power, 0.0)
+    return amp, signal, power
 
-    Trade t hands AP gives[t] from k to k2 and AP takes[t] from k2 to k.
-    Only amplitude columns k and k2 change, each by two cross terms;
-    cross[m, j] is column (m, j).
-    Returns (gives, takes, kappa) with kappa of shape (T, K).
+
+def _pair_trades(ctx, assoc, weight, base, demands, k, k2):
+    """Every AP trade of UEs k < k2: (only_k, only_k2, kappa).
+
+    Trade (g, a) hands AP only_k[g], served by k alone, to k2 and AP
+    only_k2[a], served by k2 alone, to k; kappa (G, A, K) is batched and
+    its row-major order is scan order.  Only amplitude columns k and k2
+    change, by the columns (m, k) and (m, k2) of the two APs, read in one
+    ctx.columns call; the other columns' |amp|^2 is summed directly from
+    the scan's base, so a pair costs O(T K) beyond that sum.
     """
-    only_k = np.flatnonzero(assoc[k] & ~assoc[k2])
-    only_k2 = np.flatnonzero(assoc[k2] & ~assoc[k])
-    gives = np.repeat(only_k, only_k2.size)
-    takes = np.tile(only_k2, only_k.size)
-    trial_amp = np.repeat(amp[None], gives.size, axis=0)
-    trial_amp[:, :, k] += (cross[takes, k] * weight[k, takes, None]
-                           - cross[gives, k] * weight[k, gives, None])
-    trial_amp[:, :, k2] += (cross[gives, k2] * weight[k2, gives, None]
-                            - cross[takes, k2] * weight[k2, takes, None])
-    return gives, takes, ctx.score_amplitudes(trial_amp, demands)[2]
+    amp, signal, power = base
+    only_k = (assoc[k] & ~assoc[k2]).nonzero()[0]
+    only_k2 = (assoc[k2] & ~assoc[k]).nonzero()[0]
+    shape = (only_k.size, only_k2.size, len(amp))
+    if not (only_k.size and only_k2.size):
+        return only_k, only_k2, np.empty(shape)
+    pair, aps = np.array([k, k2]), np.concatenate([only_k, only_k2])[:, None]
+    # moved[i, 0] is AP aps[i]'s term of amplitude column k, moved[i, 1] minus
+    # its term of column k2; give is taken out before take is added, so an AP
+    # that is most of its column cancels first
+    moved = ctx.columns(aps, pair) * (weight[pair, aps] * np.array([1.0, -1.0]))[..., None]
+    new = (amp.T[pair] - moved[:only_k.size, None]) + moved[only_k.size:]
+    new_power = np.abs(new) ** 2
+    trial_signal = np.repeat(signal[None], only_k.size * only_k2.size, axis=0).reshape(shape)
+    trial_signal[..., k], trial_signal[..., k2] = new_power[..., 0, k], new_power[..., 1, k2]
+    new_power[..., 0, k] = new_power[..., 1, k2] = 0.0
+    others = np.ones(len(amp))
+    others[pair] = 0.0
+    interference = new_power[..., 0, :] + new_power[..., 1, :]
+    interference += power @ others
+    return only_k, only_k2, ctx.score_powers(trial_signal, interference, demands)[2]
 
 
 def _accepts(kappa, current, k, k2, slack=0.0):

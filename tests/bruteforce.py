@@ -156,7 +156,9 @@ def reference_gca(ctx, demands, config):
     loop, with no screening; returns the final association matrix.
     """
     gains = ctx.channels.gains
-    floor = gains.max(axis=1) / 10.0 ** (config.power_diff_threshold / 10.0)
+    # a window over 3082.5 dB, where 10 ** (t / 10) nears overflow, acts as +inf
+    t = config.power_diff_threshold
+    floor = gains.max(axis=1) / (10.0 ** (t / 10.0) if t <= 3082.5 else np.inf)
     assoc = gains >= floor[:, None]
 
     def min_se(a):

@@ -8,7 +8,8 @@ from cfmatch import (ScenarioConfig, best_channel, min_distance,
                      canonical, gca, da_m2m, STRATEGIES,
                      get_strategy, GameCounters, ChannelRealization, EvalContext)
 from cfmatch import baselines
-from cfmatch.baselines import SCREEN_MARGIN, _accepts, _pair_trades, swap_matching
+from cfmatch.baselines import (SCREEN_MARGIN, _accepts, _pair_trades, _scan_base,
+                               swap_matching)
 
 from bruteforce import reference_da_m2m, reference_gca, reference_swap_matching
 from make_golden import tie_scene
@@ -88,6 +89,20 @@ def test_gca_infinite_window_is_canonical():
     ch = random_channels(np.random.default_rng(3), 2, 3, 1)
     m, _ = gca(EvalContext(ch, cfg), _demands(2), cfg)
     assert np.count_nonzero(m) == 6
+
+
+def test_gca_window_past_the_float_range_acts_as_infinite():
+    # 10 ** (3083 / 10) overflows a float: such a window seeds every AP,
+    # as +inf does, in gca and in its reference
+    ch = random_channels(np.random.default_rng(5), 4, 6, 2)
+    out = {}
+    for window in (3083.0, 1e308, float("inf")):
+        cfg = small_config(6, 4, power_diff_threshold=window, noise_var=1e-6)
+        ctx = EvalContext(ch, cfg)
+        out[window], _ = gca(ctx, _demands(4), cfg)
+        np.testing.assert_array_equal(reference_gca(ctx, _demands(4), cfg), out[window])
+    np.testing.assert_array_equal(out[3083.0], out[float("inf")])
+    np.testing.assert_array_equal(out[1e308], out[float("inf")])
 
 
 def test_gca_zero_window_is_best_channel():
@@ -282,10 +297,28 @@ def _da_scene(num_ues, num_aps, seed, **overrides):
 
 
 def _trades(ctx, assoc, demands, k, k2):
-    """_pair_trades of UEs k, k2 at the start of a scan of assoc."""
+    """_pair_trades of UEs k, k2 at the start of a scan of assoc, one row
+    per trade in scan order: (gives, takes, kappa), kappa of shape (T, K)."""
     weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
-    amp = ctx.amplitudes(assoc * weight)
-    return _pair_trades(ctx, all_columns(ctx), assoc, weight, amp, demands, k, k2)
+    only_k, only_k2, kappa = _pair_trades(ctx, assoc, weight, _scan_base(ctx, assoc, weight),
+                                          demands, k, k2)
+    gives, takes = (x.ravel() for x in np.meshgrid(only_k, only_k2, indexing="ij"))
+    return gives, takes, kappa.reshape(-1, ctx.num_ues)
+
+
+def _trade_kappa_error(ctx, assoc, demands, pairs):
+    """(worst |batched - exact| kappa, trade count) over the trades of pairs."""
+    worst, trades = 0.0, 0
+    for k, k2 in pairs:
+        gives, takes, kappa = _trades(ctx, assoc, demands, k, k2)
+        for t in range(gives.size):
+            trial = assoc.copy()
+            trial[k, gives[t]] = trial[k2, takes[t]] = False
+            trial[k, takes[t]] = trial[k2, gives[t]] = True
+            exact = ctx.evaluate_assoc(trial, demands).kappa
+            worst = max(worst, float(np.abs(kappa[t] - exact).max()))
+            trades += 1
+    return worst, trades
 
 
 # At 5x8 the default quotas let every UE hold every AP, leaving nothing to trade.
@@ -312,25 +345,51 @@ def test_swap_matches_reference_scan(num_ues, num_aps, num_seeds, overrides):
     assert total_swaps > 0
 
 
+def _dominant_interferer_scene():
+    """(config, context, demands, assoc) of 3 UEs on 3 single-antenna APs,
+    UE j on AP j, where trading APs 0 and 1 between UEs 0 and 1 removes
+    nearly all of UE 2's interference.
+
+    UE 2 hears UE 0's beam from AP 0 ten times stronger than its own
+    signal; the trade hands AP 0 to UE 1, whose far stronger channel there
+    shrinks that beam, and UE 2's interference falls by about 1e10.  Taking
+    the old terms out of a kept row sum would leave the rounding of the old
+    sum, over 1e-6 of what is left.  Demands put every traded kappa at 2/3."""
+    vectors = np.full((3, 3, 1), 1e-9, dtype=complex)
+    vectors[0, 0], vectors[1, 0], vectors[2, 0] = 1e-4, 1e1, 1e-3
+    vectors[0, 1] = vectors[1, 1] = vectors[2, 2] = 1e-4
+    cfg = small_config(3, 3, ap_quota=1, ue_quota=1, noise_var=1e-15)
+    ctx = EvalContext(channels_from_vectors(vectors), cfg)
+    assoc, traded = np.eye(3, dtype=bool), np.eye(3, dtype=bool)[[1, 0, 2]]
+    demands = 1.5 * ctx.evaluate_assoc(traded, _demands(3)).rate
+    sinr = ctx.evaluate_assoc(assoc, demands).sinr[2]
+    assert ctx.evaluate_assoc(traded, demands).sinr[2] > 1e9 * sinr
+    return cfg, ctx, demands, assoc
+
+
 @pytest.mark.parametrize("num_ues, num_aps, overrides", [
     (5, 8, SMALL_QUOTAS),
     (10, 25, {}),
 ])
 def test_batched_trade_kappa_matches_exact_evaluation(num_ues, num_aps, overrides):
-    worst = 0.0
-    trades = 0
-    for seed in range(700, 704):
-        cfg, ctx, demands, assoc = _da_scene(num_ues, num_aps, seed, **overrides)
-        for k in range(num_ues):
-            for k2 in range(k + 1, num_ues):
-                gives, takes, kappa = _trades(ctx, assoc, demands, k, k2)
-                for t in range(gives.size):
-                    trial = assoc.copy()
-                    trial[k, gives[t]] = trial[k2, takes[t]] = False
-                    trial[k, takes[t]] = trial[k2, gives[t]] = True
-                    exact = ctx.evaluate_assoc(trial, demands).kappa
-                    worst = max(worst, float(np.abs(kappa[t] - exact).max()))
-                    trades += 1
+    # at 5x8 the tie scenes join, whose duplicated APs and UEs make equal
+    # columns cancel, and a trade that removes a dominant interferer; at
+    # 10x25 the first UE's pairs of the 24x120 scene, whose columns the
+    # context computes on first read
+    scenes = [_da_scene(num_ues, num_aps, seed, **overrides) + (None,)
+              for seed in range(700, 704)]
+    if num_aps == 8:
+        for name in ("dup-aps", "dup-pairs"):
+            cfg, ctx, demands = tie_scene(name)
+            scenes.append((cfg, ctx, demands, da_m2m(ctx, demands, cfg)[0], None))
+        scenes.append(_dominant_interferer_scene() + (None,))
+    else:
+        scenes.append(_da_scene(24, 120, 0) + ([(0, k2) for k2 in range(1, 24)],))
+    worst, trades = 0.0, 0
+    for cfg, ctx, demands, assoc, pairs in scenes:
+        pairs = pairs or [(k, k2) for k in range(ctx.num_ues) for k2 in range(k + 1, ctx.num_ues)]
+        scene_worst, scene_trades = _trade_kappa_error(ctx, assoc, demands, pairs)
+        worst, trades = max(worst, scene_worst), trades + scene_trades
     assert trades > 0
     # about 1000x headroom below the screen's margin
     assert worst <= 1e-12
@@ -366,6 +425,23 @@ def test_accepts_batch_matches_rows_and_screen_keeps_them():
     # an exact tie of the sum is no drop: k gains what a third UE loses
     current, trade = np.array([0.5, 0.5, 0.5]), np.array([0.75, 0.5, 0.25])
     assert _accepts(trade, current, 0, 1) and _accepts(trade[None], current, 0, 1).all()
+
+
+def test_swap_keeps_no_second_copy_of_the_columns():
+    # 24x120 is over 1 MB of columns, so the context computes them on first
+    # read and keeps them; with all of them computed first, tracemalloc sees
+    # the scan's own buffers, and one more copy of every column, 16 K^2 M
+    # bytes, would be over the bound alone
+    cfg, ctx, demands, start = _da_scene(24, 120, 0)
+    all_columns(ctx)
+    tracemalloc.start()
+    try:
+        out = swap_matching(start, ctx, demands, cfg, GameCounters())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.array_equal(out, start)
+    assert peak < 16 * ctx.num_ues ** 2 * ctx.num_aps
 
 
 def test_swap_of_saturated_ues_evaluates_once(monkeypatch):

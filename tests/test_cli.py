@@ -394,6 +394,18 @@ def test_main_reports_swap_cap_error(tmp_path, capsys, monkeypatch):
     assert os.listdir(out) == []
 
 
+def test_main_runs_gca_with_a_window_past_the_float_range(tmp_path, capsys):
+    # 10 ** (3083 / 10) overflows a float; the window acts as +inf
+    payload = dict(TINY)
+    payload["power_diff_threshold"] = 3083
+    config_path = _write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    rc = main(["--config", config_path, "--strategies", "gca", "--out", str(out)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(os.listdir(out)) == 2
+
+
 def test_main_defaults_come_from_config(tmp_path):
     # seed and threshold default to the config file's values
     payload = dict(TINY)
