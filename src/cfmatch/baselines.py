@@ -64,17 +64,18 @@ def gca(ctx: EvalContext, demands, config: ScenarioConfig) -> tuple[np.ndarray, 
     def min_se(a: np.ndarray) -> float:
         return float(np.log2(1.0 + ctx.evaluate_assoc(a, demands).sinr).min())
 
-    weight = (assoc * (np.sqrt(ctx.power_share(assoc)) * ctx.inv_denom)).T.astype(complex)
+    weight = (assoc * ctx.beam_weights(assoc.sum(axis=0))).T.astype(complex)
     active = assoc.any(axis=0)
     amp = ctx.amplitudes(weight.T).conj()
     # the running minimum of the exact rule, None while it equals
-    # min_se(assoc); estimate is the batched one, within 1e-12 of it;
+    # min_se(assoc); estimate is the batched one (error: see SCREEN_MARGIN);
     # k is the UE the next round bounds drops by, the currently worst
     current = None
     sinr = ctx.score_amplitudes(amp, 1.0)[0]
     estimate, k = float(np.log2(1.0 + sinr).min()), int(np.argmin(sinr))
-    # drops are scored in blocks of at most about 512 KB, which stay in L2 cache
-    block = np.empty((min(ctx.num_aps, 2 ** 19 // amp.nbytes + 1),) + amp.shape, complex)
+    # drops are scored in blocks that stay in L2 cache: about 512 KB with
+    # the block's |amp|^2, which score_amplitudes makes
+    block = np.empty((min(ctx.num_aps, 2 ** 20 // (3 * amp.nbytes) + 1),) + amp.shape, complex)
     while True:
         gain, worst = _drop_gains(ctx, amp, weight, active, k, block, estimate)
         survivors = np.flatnonzero(_may_win(gain))
@@ -132,11 +133,7 @@ def _drop_gains(ctx, amp, weight, active, k, block, current):
         sel = aps[done:done + size]
         trial = ctx.columns(sel[:, None], np.arange(len(amp)), out=block[:sel.size])
         np.subtract(amp, np.multiply(trial, weight[sel, None], out=trial), out=trial)
-        diag = trial.reshape(-1, amp.size)[:, ::len(amp) + 1]
-        signal = np.abs(diag) ** 2
-        diag[...] = 0.0
-        interference = np.einsum("bki,bki->bk", trial.view(float), trial.view(float))
-        sinr = signal / (interference + ctx.noise_var)
+        sinr = ctx.score_amplitudes(trial, 1.0)[0]
         out[sel] = np.log2(1.0 + sinr.min(axis=1)) - current
         worst[sel] = sinr.argmin(axis=1)
         done, size = done + sel.size, min(2 * size, len(block))
@@ -218,10 +215,11 @@ def swap_matching(assoc: np.ndarray, ctx: EvalContext, demands, config: Scenario
     num_ues = assoc.shape[0]
     cap = config.ue_quota * num_ues * num_ues
     # loads never change, so neither does any pair's beam weight
-    weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
+    weight = ctx.beam_weights(assoc.sum(axis=0))
 
     def find_swap(current):
-        base = _scan_base(ctx, assoc, weight)
+        amp = ctx.amplitudes(assoc * weight)
+        base = (amp, *ctx.split_power(amp))
         for k in range(num_ues):
             for k2 in range(k + 1, num_ues):
                 only_k, only_k2, kappa = _pair_trades(ctx, assoc, weight, base, demands, k, k2)
@@ -246,24 +244,16 @@ def swap_matching(assoc: np.ndarray, ctx: EvalContext, demands, config: Scenario
     return assoc
 
 
-def _scan_base(ctx, assoc, weight):
-    """A scan's amplitudes, the diagonal of |amp|^2, and |amp|^2 off it."""
-    amp = ctx.amplitudes(assoc * weight)
-    power = np.abs(amp) ** 2
-    signal = np.diagonal(power).copy()
-    np.fill_diagonal(power, 0.0)
-    return amp, signal, power
-
-
 def _pair_trades(ctx, assoc, weight, base, demands, k, k2):
     """Every AP trade of UEs k < k2: (only_k, only_k2, kappa).
 
     Trade (g, a) hands AP only_k[g], served by k alone, to k2 and AP
     only_k2[a], served by k2 alone, to k; kappa (G, A, K) is batched and
-    its row-major order is scan order.  Only amplitude columns k and k2
-    change, by the columns (m, k) and (m, k2) of the two APs, read in one
-    ctx.columns call; the other columns' |amp|^2 is summed directly from
-    the scan's base, so a pair costs O(T K) beyond that sum.
+    its row-major order is scan order.  base is the scan's amplitudes and
+    their split_power.  Only amplitude columns k and k2 change, by the
+    columns (m, k) and (m, k2) of the two APs, read in one ctx.columns
+    call; every trade shares them, so score_columns sums the other
+    columns once for the pair.
     """
     amp, signal, power = base
     only_k = (assoc[k] & ~assoc[k2]).nonzero()[0]
@@ -277,15 +267,8 @@ def _pair_trades(ctx, assoc, weight, base, demands, k, k2):
     # that is most of its column cancels first
     moved = ctx.columns(aps, pair) * (weight[pair, aps] * np.array([1.0, -1.0]))[..., None]
     new = (amp.T[pair] - moved[:only_k.size, None]) + moved[only_k.size:]
-    new_power = np.abs(new) ** 2
-    trial_signal = np.repeat(signal[None], only_k.size * only_k2.size, axis=0).reshape(shape)
-    trial_signal[..., k], trial_signal[..., k2] = new_power[..., 0, k], new_power[..., 1, k2]
-    new_power[..., 0, k] = new_power[..., 1, k2] = 0.0
-    others = np.ones(len(amp))
-    others[pair] = 0.0
-    interference = new_power[..., 0, :] + new_power[..., 1, :]
-    interference += power @ others
-    return only_k, only_k2, ctx.score_powers(trial_signal, interference, demands)[2]
+    kappa = ctx.score_columns(signal, power, pair, new.reshape(-1, 2, len(amp)), demands)[2]
+    return only_k, only_k2, kappa.reshape(shape)
 
 
 def _accepts(kappa, current, k, k2, slack=0.0):

@@ -11,8 +11,11 @@ EvalContext computes the pairwise channel products of a realization,
 all at once in a scene of at most 1 MB of them, else column by column
 on first use, kept for the realization, so memory follows the clusters
 rather than K^2 M; its evaluate_assoc scores any matching with a few
-vectorized operations.  The association algorithms probe many
-candidate matchings through it.
+vectorized operations.  It also owns the equal-share beam weights and
+the batched scores of candidate matchings that the association
+algorithms probe: score_columns for those that move a few amplitude
+columns (ea's adds, da-smp's trades), score_amplitudes for whole
+amplitude matrices (gca's drops).
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import numpy as np
 
 from .channel import ChannelRealization, ScenarioConfig
 
-# Batched scores (kappa of a trade or an add, min spectral efficiency of
-# a drop) agree with evaluate_assoc within 1e-12, so a screen this much
+# Batched scores (score_columns' kappa of an add or a trade,
+# score_amplitudes' minimum spectral efficiency of a drop from kept
+# amplitudes) agree with evaluate_assoc within 1e-12, so a screen this much
 # looser than an exact rule never decides a candidate the other way.  A
 # candidate that clears the rule by more than this is decided by the
 # screen alone (ea's favorable test, gca's drops); the exact evaluator
@@ -124,12 +128,14 @@ class EvalContext:
             np.matmul(self._h[:, new_aps[a]], h_j[a:b], out=new[a:b])
         np.conjugate(new, out=new)
 
-    def power_share(self, assoc: np.ndarray) -> np.ndarray:
-        """(M,) power each AP spends per served UE; 0 for unloaded APs."""
-        loads = assoc.sum(axis=0)
-        share = np.zeros(self.num_aps)
-        np.divide(self.max_power, loads, out=share, where=loads > 0)
-        return share
+    def beam_weights(self, loads, aps=slice(None)) -> np.ndarray:
+        """Equal-share beam weights sqrt(P / load) / (||h_{j,m}||^2 + noise),
+        every UE's at each AP of aps carrying loads UEs, 0 at load 0: (K,)
+        plus the shape of loads.  A matching's, zero where inactive, is
+        assoc * beam_weights(assoc.sum(axis=0))."""
+        share = np.divide(self.max_power, loads, out=np.zeros(np.shape(loads)),
+                          where=np.greater(loads, 0))
+        return np.sqrt(share) * self.inv_denom[:, aps]
 
     def evaluate_assoc(self, assoc: np.ndarray, demands: np.ndarray) -> NetworkEvaluation:
         """Score one boolean association matrix against per-UE demands."""
@@ -137,8 +143,7 @@ class EvalContext:
         assoc = np.asarray(assoc, dtype=bool)
         if assoc.shape != self.norm2.shape:
             raise ValueError(f"assoc has shape {assoc.shape}, expected {self.norm2.shape}")
-        # w[j, m] = sqrt(P_{j,m}) / (||h_{j,m}||^2 + noise), zero where inactive
-        w = assoc * (np.sqrt(self.power_share(assoc))[None, :] * self.inv_denom)
+        w = assoc * self.beam_weights(assoc.sum(axis=0))
         sinr, rate, kappa = self.score_amplitudes(self.amplitudes(w), demands)
         return NetworkEvaluation(sinr=sinr, rate=rate, kappa=kappa)
 
@@ -165,19 +170,46 @@ class EvalContext:
         ues = np.arange(self.num_ues)
         return np.einsum("rjk,rj->kj", self.columns(table, ues), w[ues, table].astype(complex))
 
+    def split_power(self, amp: np.ndarray):
+        """|amp|^2 of amplitudes (..., K, K) split into the signal, its
+        diagonal (..., K), and the off-diagonal power, C ordered."""
+        power = np.abs(amp, order="C") ** 2
+        k = power.shape[-1]
+        # C order makes this a view: the diagonal of each K x K block
+        diag = power.reshape(power.shape[:-2] + (k * k,))[..., ::k + 1]
+        signal = diag.copy()
+        diag[...] = 0.0
+        return signal, power
+
     def score_amplitudes(self, amp: np.ndarray, demands: np.ndarray):
         """(sinr, rate, kappa), each (..., K), from amplitudes (..., K, K).
 
         amp[..., k, j] is the amplitude UE j's beams deliver at UE k;
         leading axes are a batch of independent matchings.
         """
-        abs2 = np.abs(amp, order="C") ** 2
-        k = abs2.shape[-1]
-        # C order makes this a view: the diagonal of each K x K block
-        diag = abs2.reshape(abs2.shape[:-2] + (k * k,))[..., ::k + 1]
-        signal = diag.copy()
-        diag[...] = 0.0
-        return self.score_powers(signal, abs2.sum(axis=-1), demands)
+        signal, power = self.split_power(amp)
+        return self.score_powers(signal, power.sum(axis=-1), demands)
+
+    def score_columns(self, signal, power, cols, new, demands):
+        """(sinr, rate, kappa), each (T, K), of T candidate matchings that
+        each replace a few amplitude columns of the current one.
+
+        new[t, i, r] is what UE cols[t, i]'s beams deliver at UE r in
+        candidate t; cols is (T, c), or (c,) when all candidates share it,
+        each row distinct UEs.  signal, power: split_power of the current
+        amplitudes.  Each candidate's kept columns are summed directly, one
+        product for all of them, never as the current row sum less the old
+        columns, which cancels where a moved beam was most of it.
+        """
+        cols = np.reshape(cols, (-1, new.shape[1]))  # (T, c) or (1, c)
+        t, i = np.arange(len(new))[:, None], np.arange(new.shape[1])
+        new_power = np.abs(new) ** 2
+        trial = np.repeat(signal[None], len(new), axis=0)
+        trial[t, cols] = new_power[t, i, cols]
+        new_power[t, i, cols] = 0.0
+        kept = np.ones((len(cols), len(signal)))
+        kept[np.arange(len(cols))[:, None], cols] = 0.0
+        return self.score_powers(trial, new_power.sum(axis=1) + kept @ power.T, demands)
 
     def score_powers(self, signal: np.ndarray, interference: np.ndarray, demands: np.ndarray):
         """(sinr, rate, kappa) from received signal and interference powers."""

@@ -20,15 +20,14 @@ lists (including its own), so quotas can never be exceeded.
 The evolution phase is delta-scored.  Adding AP m to UE k changes only
 AP m's power share and so only the c = |load m| + 1 columns of the
 current amplitudes; those are kept up to date commit by commit, and one
-batched pass scores every AP in a UE's window at O(K·c) each instead of
-a full O(K^2 M) evaluation.  The favorable-pair rule then gives the
-whole window's verdicts at once, at two bounds that relax and tighten
-every comparison by twice the batched values' error margin (about
-1e-12 error, against a SCREEN_MARGIN of 1e-9).  A verdict both bounds
-share stands; only where they disagree does is_favorable_pair re-check
-the pair exactly on the trial and the current matching, so no
-comparison is loosened and every outcome is that of one exact
-evaluation per test.
+EvalContext.score_columns pass scores every AP in a UE's window from
+the columns each moves, at O(K·c + K^2) each instead of a full
+O(K^2 M) evaluation.  The favorable-pair rule then gives the whole
+window's verdicts at once, at two bounds that relax and tighten every
+comparison by 2 SCREEN_MARGIN.  A verdict both bounds share stands;
+only where they disagree does is_favorable_pair re-check the pair
+exactly on the trial and the current matching, so no comparison is
+loosened and every outcome is that of one exact evaluation per test.
 """
 
 from __future__ import annotations
@@ -193,29 +192,23 @@ class _GrowingScores:
 
     Holds evaluate_assoc's beam weights w[j, m] and amplitudes amp[k, j]
     (what UE j's beams deliver at UE k) for the current matching, with
-    |amp|^2 split into signal (the diagonal), the off-diagonal power and
-    its row sums, the interference.  An add to AP m moves only the c
-    columns of its new load, so a candidate add costs O(K·c), and its
-    kappa is within 1e-12 of evaluate_assoc's; a commit rewrites those
-    columns and sums the rows afresh, so no rounding builds up.
+    their split_power.  An add to AP m moves only the c columns of its
+    new load, which EvalContext.score_columns scores; a commit rewrites
+    those columns and splits them afresh, so no rounding builds up.
     saturated marks the UEs whose exact kappa is surely 1.  exact() is
     evaluate_assoc of the current matching, computed at most once.
     """
 
     def __init__(self, ctx: EvalContext, assoc: np.ndarray, demands: np.ndarray):
         self.ctx, self.assoc, self.demands = ctx, assoc, demands
-        self.w = assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
+        self.w = assoc * ctx.beam_weights(assoc.sum(axis=0))
         self.amp = ctx.amplitudes(self.w)
-        self.power, self.signal = np.empty(self.amp.shape), np.empty(ctx.num_ues)
-        self._rescore(np.arange(ctx.num_ues))
+        self._rescore()
 
-    def _rescore(self, cols: np.ndarray) -> None:
-        """Rewrite power's cols from amp, its diagonal into signal; rescore."""
-        self.power[:, cols] = np.abs(self.amp[:, cols]) ** 2
-        self.signal[cols] = self.power[cols, cols]
-        self.power[cols, cols] = 0.0
-        self.interference = self.power.sum(axis=1)
-        _, rate, self.kappa = self.ctx.score_powers(self.signal, self.interference, self.demands)
+    def _rescore(self) -> None:
+        self.signal, self.power = self.ctx.split_power(self.amp)
+        _, rate, self.kappa = self.ctx.score_powers(self.signal, self.power.sum(axis=1),
+                                                    self.demands)
         # rate this far above demand is above it exactly too: kappa is 1
         self.saturated = rate > self.demands * (1.0 + SCREEN_MARGIN)
         self._exact = None
@@ -227,30 +220,25 @@ class _GrowingScores:
 
     def add_kappa(self, k: int, aps: list[int]) -> np.ndarray:
         """(len(aps), K) kappa after adding each AP of aps alone to k."""
-        ctx, aps = self.ctx, np.asarray(aps)[:, None]
-        load = self.assoc[:, aps[:, 0]].T | (np.arange(ctx.num_ues) == k)
-        size = np.count_nonzero(load, axis=1)[:, None]
+        ctx, aps = self.ctx, np.asarray(aps)
+        load = self.assoc[:, aps].T | (np.arange(ctx.num_ues) == k)
+        size = np.count_nonzero(load, axis=1)
         # each AP's load first, then UEs with weight change 0: padding moves nothing
         cols = np.argsort(~load, axis=1, kind="stable")[:, :size.max()]
-        t, i = np.arange(len(aps))[:, None], np.arange(cols.shape[1])
-        change = (i < size) * (np.sqrt(ctx.max_power / size) * ctx.inv_denom[cols, aps]
-                               - self.w[cols, aps])
-        # new[t, i, r] is |amp[r, cols[t, i]]|^2 once aps[t] serves k (padding: AP -1)
-        new = np.abs(self.amp.T[cols] + ctx.columns(np.where(i < size, aps, -1), cols)
-                     * change[..., None]) ** 2
-        signal = np.repeat(self.signal[None], len(aps), axis=0)
-        signal[t, cols] = new[t, i, cols]
-        new[t, i, cols] = 0.0
-        interference = self.interference + (new - self.power.T[cols]).sum(axis=1)
-        return ctx.score_powers(signal, interference, self.demands)[2]
+        t, pad = np.arange(len(aps))[:, None], np.arange(cols.shape[1]) >= size[:, None]
+        change = ~pad * (ctx.beam_weights(size, aps).T[t, cols] - self.w[cols, aps[:, None]])
+        # new[t, i] is amplitude column cols[t, i] once aps[t] serves k (padding: AP -1)
+        moved = ctx.columns(np.where(pad, -1, aps[:, None]), cols) * change[..., None]
+        new = self.amp.T[cols] + moved
+        return ctx.score_columns(self.signal, self.power, cols, new, self.demands)[2]
 
     def commit(self, m: int) -> None:
         """Follow an add to AP m already applied to assoc."""
         ctx, load = self.ctx, np.flatnonzero(self.assoc[:, m])
-        w_m = np.sqrt(ctx.max_power / load.size) * ctx.inv_denom[load, m]
+        w_m = ctx.beam_weights(load.size, m)[load]
         self.amp[:, load] += ctx.columns(m, load).T * (w_m - self.w[load, m])
         self.w[load, m] = w_m
-        self._rescore(load)
+        self._rescore()
 
 
 def cluster_evolution(state: PreferenceState, assoc: np.ndarray, ctx: EvalContext,

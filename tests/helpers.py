@@ -7,6 +7,7 @@ import numpy as np
 from cfmatch import (ChannelRealization, ScenarioConfig, EvalContext,
                      generate_layout, realize_channels, draw_demands, substream)
 from cfmatch import matching as matching_module
+from cfmatch.baselines import _pair_trades
 from cfmatch.evaluate import quota_violation
 
 from bruteforce import reference_associate, reference_preferences
@@ -53,9 +54,16 @@ def channels_from_vectors(vectors):
     return ChannelRealization(gains=gains, vectors=vectors, distances=distances)
 
 
+def power_shares(assoc, max_power):
+    """(K, M) power AP m spends on UE k under an equal split: its budget
+    over the UEs it serves, counted here, or 0 where it does not serve k."""
+    loads = np.count_nonzero(assoc, axis=0)
+    return np.where(assoc, max_power / np.maximum(loads, 1), 0.0)
+
+
 def beam_weights(ctx, assoc):
     """evaluate_assoc's beam weights w[j, m] of a boolean association matrix."""
-    return assoc * (np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom)
+    return np.sqrt(power_shares(assoc, ctx.max_power)) * ctx.inv_denom
 
 
 def all_columns(ctx):
@@ -83,6 +91,54 @@ def assert_amplitudes(ctx, w, amp):
         assert_dense_close(amp, cross_einsum(ctx, w))
     else:
         assert np.array_equal(amp, cross_einsum(ctx, w))
+
+
+def pair_trades(ctx, assoc, demands, k, k2):
+    """_pair_trades of UEs k, k2 at the start of a scan of assoc, one row
+    per trade in scan order: (gives, takes, kappa), kappa of shape (T, K)."""
+    weight = ctx.beam_weights(assoc.sum(axis=0))
+    amp = ctx.amplitudes(assoc * weight)
+    only_k, only_k2, kappa = _pair_trades(ctx, assoc, weight, (amp, *ctx.split_power(amp)),
+                                          demands, k, k2)
+    gives, takes = (x.ravel() for x in np.meshgrid(only_k, only_k2, indexing="ij"))
+    return gives, takes, kappa.reshape(-1, ctx.num_ues)
+
+
+def trade_kappa_error(ctx, assoc, demands, pairs):
+    """(worst |batched - exact| kappa, trade count) over the trades of pairs."""
+    worst, trades = 0.0, 0
+    for k, k2 in pairs:
+        gives, takes, kappa = pair_trades(ctx, assoc, demands, k, k2)
+        for t in range(gives.size):
+            trial = assoc.copy()
+            trial[k, gives[t]] = trial[k2, takes[t]] = False
+            trial[k, takes[t]] = trial[k2, gives[t]] = True
+            exact = ctx.evaluate_assoc(trial, demands).kappa
+            worst = max(worst, float(np.abs(kappa[t] - exact).max()))
+            trades += 1
+    return worst, trades
+
+
+def dominant_interferer_scene():
+    """(config, context, demands, assoc) of 3 UEs on 3 single-antenna APs,
+    UE j on AP j, where trading APs 0 and 1 between UEs 0 and 1 removes
+    nearly all of UE 2's interference.
+
+    UE 2 hears UE 0's beam from AP 0 ten times stronger than its own
+    signal; the trade hands AP 0 to UE 1, whose far stronger channel there
+    shrinks that beam, and UE 2's interference falls by about 1e10.  Taking
+    the old terms out of a kept row sum would leave the rounding of the old
+    sum, over 1e-6 of what is left.  Demands put every traded kappa at 2/3."""
+    vectors = np.full((3, 3, 1), 1e-9, dtype=complex)
+    vectors[0, 0], vectors[1, 0], vectors[2, 0] = 1e-4, 1e1, 1e-3
+    vectors[0, 1] = vectors[1, 1] = vectors[2, 2] = 1e-4
+    cfg = small_config(3, 3, ap_quota=1, ue_quota=1, noise_var=1e-15)
+    ctx = EvalContext(channels_from_vectors(vectors), cfg)
+    assoc, traded = np.eye(3, dtype=bool), np.eye(3, dtype=bool)[[1, 0, 2]]
+    demands = 1.5 * ctx.evaluate_assoc(traded, np.full(3, 3e7)).rate
+    sinr = ctx.evaluate_assoc(assoc, demands).sinr[2]
+    assert ctx.evaluate_assoc(traded, demands).sinr[2] > 1e9 * sinr
+    return cfg, ctx, demands, assoc
 
 
 def random_demands(rng, config):

@@ -103,7 +103,9 @@ def test_05_constraint_suite():
         matchings["da"] = da
         matchings["da-smp"] = swap_matching(da, ctx, demands, cfg, counters)
         for assoc in matchings.values():
-            power = assoc * ctx.power_share(assoc)
+            # the evaluator's power split, recovered from its beam weights
+            weights = assoc * ctx.beam_weights(np.count_nonzero(assoc, axis=0))
+            power = (weights / ctx.inv_denom) ** 2
             binary = (assoc.dtype == bool
                       and assoc.shape == (num_ues, num_aps))
             nonneg = (power >= 0).all()

@@ -8,13 +8,13 @@ from cfmatch import (ScenarioConfig, best_channel, min_distance,
                      canonical, gca, da_m2m, STRATEGIES,
                      get_strategy, GameCounters, ChannelRealization, EvalContext)
 from cfmatch import baselines
-from cfmatch.baselines import (SCREEN_MARGIN, _accepts, _pair_trades, _scan_base,
-                               swap_matching)
+from cfmatch.baselines import SCREEN_MARGIN, _accepts, swap_matching
 
 from bruteforce import reference_da_m2m, reference_gca, reference_swap_matching
 from make_golden import tie_scene
 from helpers import (small_config, random_channels, channels_from_vectors,
-                     random_demands, check_matching_valid, seeded_scene, all_columns)
+                     random_demands, check_matching_valid, seeded_scene, all_columns,
+                     dominant_interferer_scene, pair_trades, trade_kappa_error)
 
 
 def _demands(num_ues, value=3e7):
@@ -296,31 +296,6 @@ def _da_scene(num_ues, num_aps, seed, **overrides):
     return cfg, ctx, demands, assoc
 
 
-def _trades(ctx, assoc, demands, k, k2):
-    """_pair_trades of UEs k, k2 at the start of a scan of assoc, one row
-    per trade in scan order: (gives, takes, kappa), kappa of shape (T, K)."""
-    weight = np.sqrt(ctx.power_share(assoc))[None, :] * ctx.inv_denom
-    only_k, only_k2, kappa = _pair_trades(ctx, assoc, weight, _scan_base(ctx, assoc, weight),
-                                          demands, k, k2)
-    gives, takes = (x.ravel() for x in np.meshgrid(only_k, only_k2, indexing="ij"))
-    return gives, takes, kappa.reshape(-1, ctx.num_ues)
-
-
-def _trade_kappa_error(ctx, assoc, demands, pairs):
-    """(worst |batched - exact| kappa, trade count) over the trades of pairs."""
-    worst, trades = 0.0, 0
-    for k, k2 in pairs:
-        gives, takes, kappa = _trades(ctx, assoc, demands, k, k2)
-        for t in range(gives.size):
-            trial = assoc.copy()
-            trial[k, gives[t]] = trial[k2, takes[t]] = False
-            trial[k, takes[t]] = trial[k2, gives[t]] = True
-            exact = ctx.evaluate_assoc(trial, demands).kappa
-            worst = max(worst, float(np.abs(kappa[t] - exact).max()))
-            trades += 1
-    return worst, trades
-
-
 # At 5x8 the default quotas let every UE hold every AP, leaving nothing to trade.
 SMALL_QUOTAS = dict(ap_quota=2, ue_quota=3)
 
@@ -345,28 +320,6 @@ def test_swap_matches_reference_scan(num_ues, num_aps, num_seeds, overrides):
     assert total_swaps > 0
 
 
-def _dominant_interferer_scene():
-    """(config, context, demands, assoc) of 3 UEs on 3 single-antenna APs,
-    UE j on AP j, where trading APs 0 and 1 between UEs 0 and 1 removes
-    nearly all of UE 2's interference.
-
-    UE 2 hears UE 0's beam from AP 0 ten times stronger than its own
-    signal; the trade hands AP 0 to UE 1, whose far stronger channel there
-    shrinks that beam, and UE 2's interference falls by about 1e10.  Taking
-    the old terms out of a kept row sum would leave the rounding of the old
-    sum, over 1e-6 of what is left.  Demands put every traded kappa at 2/3."""
-    vectors = np.full((3, 3, 1), 1e-9, dtype=complex)
-    vectors[0, 0], vectors[1, 0], vectors[2, 0] = 1e-4, 1e1, 1e-3
-    vectors[0, 1] = vectors[1, 1] = vectors[2, 2] = 1e-4
-    cfg = small_config(3, 3, ap_quota=1, ue_quota=1, noise_var=1e-15)
-    ctx = EvalContext(channels_from_vectors(vectors), cfg)
-    assoc, traded = np.eye(3, dtype=bool), np.eye(3, dtype=bool)[[1, 0, 2]]
-    demands = 1.5 * ctx.evaluate_assoc(traded, _demands(3)).rate
-    sinr = ctx.evaluate_assoc(assoc, demands).sinr[2]
-    assert ctx.evaluate_assoc(traded, demands).sinr[2] > 1e9 * sinr
-    return cfg, ctx, demands, assoc
-
-
 @pytest.mark.parametrize("num_ues, num_aps, overrides", [
     (5, 8, SMALL_QUOTAS),
     (10, 25, {}),
@@ -382,13 +335,13 @@ def test_batched_trade_kappa_matches_exact_evaluation(num_ues, num_aps, override
         for name in ("dup-aps", "dup-pairs"):
             cfg, ctx, demands = tie_scene(name)
             scenes.append((cfg, ctx, demands, da_m2m(ctx, demands, cfg)[0], None))
-        scenes.append(_dominant_interferer_scene() + (None,))
+        scenes.append(dominant_interferer_scene() + (None,))
     else:
         scenes.append(_da_scene(24, 120, 0) + ([(0, k2) for k2 in range(1, 24)],))
     worst, trades = 0.0, 0
     for cfg, ctx, demands, assoc, pairs in scenes:
         pairs = pairs or [(k, k2) for k in range(ctx.num_ues) for k2 in range(k + 1, ctx.num_ues)]
-        scene_worst, scene_trades = _trade_kappa_error(ctx, assoc, demands, pairs)
+        scene_worst, scene_trades = trade_kappa_error(ctx, assoc, demands, pairs)
         worst, trades = max(worst, scene_worst), trades + scene_trades
     assert trades > 0
     # about 1000x headroom below the screen's margin
@@ -412,7 +365,7 @@ def test_accepts_batch_matches_rows_and_screen_keeps_them():
             near = np.repeat(current[None], steps.size ** 2, axis=0)
             near[:, k] += np.repeat(steps, steps.size)
             near[:, k2] += np.tile(steps, steps.size)
-            batch = np.concatenate([_trades(ctx, start, demands, k, k2)[2],
+            batch = np.concatenate([pair_trades(ctx, start, demands, k, k2)[2],
                                     np.minimum(1.0, near)])
             exact = _accepts(batch, current, k, k2)
             np.testing.assert_array_equal(
@@ -450,7 +403,7 @@ def test_swap_of_saturated_ues_evaluates_once(monkeypatch):
     cfg, ctx, _, start = _da_scene(10, 25, seed=11)
     demands = np.full(10, 1.0)
     assert np.all(ctx.evaluate_assoc(start, demands).kappa == 1.0)
-    assert _trades(ctx, start, demands, 0, 1)[0].size > 0
+    assert pair_trades(ctx, start, demands, 0, 1)[0].size > 0
     calls = []
     original = EvalContext.evaluate_assoc
 

@@ -5,6 +5,9 @@ import io
 import json
 import math
 import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -308,6 +311,17 @@ def test_main_end_to_end(tmp_path, capsys):
     shown = capsys.readouterr().out
     assert "ea" in shown and "bc" in shown
     assert "%satisfied" in shown
+
+
+def test_python_m_cfmatch_runs_the_cli():
+    # the package runs as a module, without runpy's warning about a
+    # module already imported
+    env = dict(os.environ, PYTHONPATH=str(Path(cfmatch.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "cfmatch", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert out.stdout.startswith("usage:")
 
 
 def test_main_rejects_bad_strategy(tmp_path, capsys):

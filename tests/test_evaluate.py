@@ -1,3 +1,4 @@
+from dataclasses import replace
 import os
 from pathlib import Path
 import subprocess
@@ -8,13 +9,15 @@ import numpy as np
 import pytest
 
 import cfmatch
-from cfmatch import ChannelRealization, EvalContext, STRATEGIES, get_strategy
+from cfmatch import ChannelRealization, EvalContext, STRATEGIES, da_m2m, gca, get_strategy
+from cfmatch import baselines
 from cfmatch.evaluate import quota_violation
+from cfmatch.matching import _GrowingScores, build_preferences, ea_initial_association
 
 from bruteforce import reference_evaluate
 from helpers import (small_config, random_channels, channels_from_vectors, seeded_scene,
-                     beam_weights, all_columns, cross_einsum, assert_amplitudes,
-                     assert_dense_close)
+                     beam_weights, power_shares, all_columns, cross_einsum, assert_amplitudes,
+                     assert_dense_close, dominant_interferer_scene, trade_kappa_error)
 from make_golden import tie_scene
 
 
@@ -59,12 +62,19 @@ def test_beamformer_no_normalization():
     assert ev.sinr[0] == pytest.approx(0.2 * (25.0 / 27.0) ** 2 / 2.0, rel=1e-12)
 
 
+def _powers(ctx, assoc):
+    """(K, M) power of each beam, from the context's beam weights under
+    loads counted here."""
+    weights = assoc * ctx.beam_weights(np.count_nonzero(assoc, axis=0))
+    return (weights / ctx.inv_denom) ** 2
+
+
 def test_equal_power_split():
     assoc = np.zeros((4, 2), dtype=bool)
     assoc[:, 0] = True
     ctx = EvalContext(random_channels(np.random.default_rng(2), 4, 2, 1),
                       small_config(2, 4))
-    p = assoc * ctx.power_share(assoc)
+    p = _powers(ctx, assoc)
     np.testing.assert_allclose(p[:, 0], 0.05)
     np.testing.assert_array_equal(p[:, 1], 0.0)
     assert p[:, 0].sum() == pytest.approx(0.2, rel=1e-12)
@@ -77,7 +87,7 @@ def test_equal_power_sums_are_budget_or_zero():
         assoc = rng.random((num_ues, num_aps)) < 0.4
         ctx = EvalContext(random_channels(rng, num_ues, num_aps, 1),
                           small_config(num_aps, num_ues))
-        p = assoc * ctx.power_share(assoc)
+        p = _powers(ctx, assoc)
         assert (p >= 0).all()
         sums = p.sum(axis=0)
         loaded = assoc.any(axis=0)
@@ -161,8 +171,9 @@ def test_evaluate_matches_transparent_route():
         ev = ctx.evaluate_assoc(assoc, demands)
         ref = reference_evaluate(ch.vectors, assoc, cfg.max_power,
                                  cfg.noise_var, cfg.bandwidth, demands)
-        np.testing.assert_allclose(assoc * ctx.power_share(assoc), ref["power"],
-                                   rtol=1e-12)
+        norm2 = (np.abs(ch.vectors) ** 2).sum(axis=2)
+        np.testing.assert_allclose(assoc * ctx.beam_weights(assoc.sum(axis=0)),
+                                   np.sqrt(ref["power"]) / (norm2 + cfg.noise_var), rtol=1e-12)
         np.testing.assert_allclose(ev.sinr, ref["sinr"], rtol=1e-10, atol=1e-30)
 
 
@@ -399,8 +410,102 @@ def test_new_interferer_never_helps():
         before = ctx.evaluate_assoc(base, demands)
         after = ctx.evaluate_assoc(grown, demands)
         assert (after.sinr[:2] <= before.sinr[:2]).all()
-        np.testing.assert_array_equal((grown * ctx.power_share(grown))[:2],
-                                      (base * ctx.power_share(base))[:2])
+        np.testing.assert_array_equal(power_shares(grown, 0.2)[:2], power_shares(base, 0.2)[:2])
+
+
+# Every scene the ea add, da-smp trade and gca drop agreement tests take
+# (test_matching, test_baselines): each a list of (config, context,
+# demands, matching or None).
+_SMALL_QUOTAS = dict(ap_quota=2, ue_quota=3)
+_SCORER_SCENES = {
+    "5x8-ea": lambda: [seeded_scene(5, 8, s) for s in range(750, 753)],
+    "10x25-ea": lambda: [seeded_scene(10, 25, s) for s in range(750, 753)],
+    "30x60-ea": lambda: [seeded_scene(30, 60, s) for s in range(750, 753)],
+    "70x140-ea": lambda: [seeded_scene(70, 140, 750)],
+    "dup-aps": lambda: [tie_scene("dup-aps")],
+    "dup-pairs": lambda: [tie_scene("dup-pairs")],
+    "5x8-swap": lambda: [seeded_scene(5, 8, s, **_SMALL_QUOTAS) for s in range(700, 704)],
+    "10x25-swap": lambda: [seeded_scene(10, 25, s) for s in range(700, 704)],
+    "dominant-interferer": lambda: [dominant_interferer_scene()],
+    "24x120-lazy": lambda: [seeded_scene(24, 120, 0)],
+    "5x8-gca": lambda: [seeded_scene(5, 8, s) for s in range(950, 953)],
+    "10x25-gca": lambda: [seeded_scene(10, 25, s) for s in range(950, 953)],
+    "30x60-gca": lambda: [seeded_scene(30, 60, s) for s in range(950, 953)],
+}
+
+
+def _add_errors(cfg, ctx, demands):
+    """|batched - exact| kappa of ea's adds from ea's initial matching:
+    each UE in turn scores adding each of the (up to 8) best APs it lacks,
+    quotas aside, then commits the first; the kept kappa is checked after
+    every commit."""
+    assoc = ea_initial_association(build_preferences(ctx.channels.gains, cfg))
+    scores = _GrowingScores(ctx, assoc, demands)
+    errors = []
+    for k in range(ctx.num_ues):
+        order = np.argsort(-ctx.channels.gains[k], kind="stable")
+        aps = order[~assoc[k, order]][:8].tolist()
+        if not aps:
+            continue
+        for m, kappa in zip(aps, scores.add_kappa(k, aps)):
+            trial = assoc.copy()
+            trial[k, m] = True
+            errors.append(np.abs(kappa - ctx.evaluate_assoc(trial, demands).kappa).max())
+        assoc[k, aps[0]] = True
+        scores.commit(aps[0])
+        errors.append(np.abs(scores.kappa - ctx.evaluate_assoc(assoc, demands).kappa).max())
+    return errors
+
+
+def _drop_errors(monkeypatch, cfg, ctx, demands):
+    """|batched - exact| minimum spectral efficiency of the (up to 4)
+    best drops gca scores in each of its rounds, from its kept amplitudes."""
+    original, errors = baselines._drop_gains, []
+
+    def checked(ctx, amp, weight, active, k, block, current):
+        out, worst_ue = original(ctx, amp, weight, active, k, block, current)
+        assoc = (weight != 0).T  # weight[m, j] is nonzero where AP m serves UE j
+        for m in np.argsort(-out, kind="stable")[:4]:
+            if np.isneginf(out[m]):
+                break
+            trial = assoc & (np.arange(ctx.num_aps) != m)
+            exact = np.log2(1.0 + ctx.evaluate_assoc(trial, demands).sinr).min() - current
+            errors.append(abs(out[m] - exact))
+        return out, worst_ue
+
+    monkeypatch.setattr(baselines, "_drop_gains", checked)
+    gca(ctx, demands, cfg)
+    monkeypatch.undo()
+    return errors
+
+
+@pytest.mark.parametrize("kind", ["add", "trade", "drop"])
+@pytest.mark.parametrize("scene", list(_SCORER_SCENES))
+def test_shared_scorer_matches_exact_evaluation(monkeypatch, scene, kind):
+    # EvalContext.score_columns (ea's adds and commits, da-smp's trades) and
+    # score_amplitudes on gca's kept amplitudes score every candidate within
+    # 1e-12 of evaluate_assoc of its trial matching, on every scene of the
+    # three strategies' own agreement tests: tie scenes whose equal columns
+    # cancel, a trade that removes a dominant interferer, 24x120 on lazy
+    # columns and 70x140.  Trades start from da's matching (the dominant
+    # scene's own), every pair at K <= 10 and UE 0's 23 first otherwise.
+    errors = []
+    for cfg, ctx, demands, *given in _SCORER_SCENES[scene]():
+        if kind == "add":
+            errors += _add_errors(cfg, ctx, demands)
+        elif kind == "trade":
+            # default quotas at 5x8 let every UE hold every AP: nothing to trade
+            da_cfg = replace(cfg, **_SMALL_QUOTAS) if cfg.ue_quota >= cfg.num_aps else cfg
+            assoc = given[0] if given else da_m2m(ctx, demands, da_cfg)[0]
+            pairs = [(k, k2) for k in range(ctx.num_ues) for k2 in range(k + 1, ctx.num_ues)
+                     if ctx.num_ues <= 10 or (k == 0 and k2 <= 23)]
+            worst, trades = trade_kappa_error(ctx, assoc, demands, pairs)
+            errors += [worst] * (trades > 0)
+        else:
+            errors += _drop_errors(monkeypatch, cfg, ctx, demands)
+    assert errors
+    # about 1000x headroom below the screen's margin
+    assert max(errors) <= 1e-12
 
 
 def test_quota_violation_flag():
