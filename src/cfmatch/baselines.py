@@ -207,8 +207,10 @@ def swap_matching(assoc: np.ndarray, ctx: EvalContext, demands, config: Scenario
     ue_quota * K^2; exceeding it raises SwapCapExceeded.
 
     All trades of one UE pair are scored at once from the two amplitude
-    columns each changes; only those that might pass the rule are
-    re-scored by the exact evaluator, in scan order, which alone decides.
+    columns each changes, reading what the scan computed once
+    (_scan_base, and the _thresholds of the screen and of the rule); only
+    those that might pass the rule are re-scored by the exact evaluator,
+    in scan order, which alone decides.
     """
     demands = np.asarray(demands, dtype=float)
     assoc = assoc.copy()
@@ -218,17 +220,17 @@ def swap_matching(assoc: np.ndarray, ctx: EvalContext, demands, config: Scenario
     weight = ctx.beam_weights(assoc.sum(axis=0))
 
     def find_swap(current):
-        amp = ctx.amplitudes(assoc * weight)
-        base = (amp, *ctx.split_power(amp))
+        base = _scan_base(ctx, assoc, weight)
+        screen, exact = _thresholds(current.kappa, SCREEN_MARGIN), _thresholds(current.kappa)
         for k in range(num_ues):
             for k2 in range(k + 1, num_ues):
-                only_k, only_k2, kappa = _pair_trades(ctx, assoc, weight, base, demands, k, k2)
-                for g, a in zip(*_accepts(kappa, current.kappa, k, k2, SCREEN_MARGIN).nonzero()):
+                only_k, only_k2, kappa = _pair_trades(ctx, weight, base, demands, k, k2)
+                for g, a in zip(*_accepts(kappa, screen, k, k2).nonzero()):
                     trial = assoc.copy()
                     trial[k, only_k[g]] = trial[k2, only_k2[a]] = False
                     trial[k, only_k2[a]] = trial[k2, only_k[g]] = True
                     ev = ctx.evaluate_assoc(trial, demands)
-                    if _accepts(ev.kappa, current.kappa, k, k2):
+                    if _accepts(ev.kappa, exact, k, k2):
                         return trial, ev
         return None, None
 
@@ -244,46 +246,70 @@ def swap_matching(assoc: np.ndarray, ctx: EvalContext, demands, config: Scenario
     return assoc
 
 
-def _pair_trades(ctx, assoc, weight, base, demands, k, k2):
+def _scan_base(ctx, assoc, weight):
+    """What every pair of a scan of assoc reads, computed once for the
+    scan: alone[k, k2], the mask of the APs k holds and k2 does not; the
+    amplitudes transposed to C order, row j amplitude column j; and their
+    split_power."""
+    amp = ctx.amplitudes(assoc * weight)
+    return (assoc[:, None] & ~assoc[None], np.ascontiguousarray(amp.T), *ctx.split_power(amp))
+
+
+def _pair_trades(ctx, weight, base, demands, k, k2):
     """Every AP trade of UEs k < k2: (only_k, only_k2, kappa).
 
     Trade (g, a) hands AP only_k[g], served by k alone, to k2 and AP
     only_k2[a], served by k2 alone, to k; kappa (G, A, K) is batched and
-    its row-major order is scan order.  base is the scan's amplitudes and
-    their split_power.  Only amplitude columns k and k2 change, by the
-    columns (m, k) and (m, k2) of the two APs, read in one ctx.columns
-    call; every trade shares them, so score_columns sums the other
-    columns once for the pair.
+    its row-major order is scan order.  base is the scan's _scan_base.
+    Only amplitude columns k and k2 change, by the columns (m, k) and
+    (m, k2) of the two APs, read in one ctx.columns call; every trade
+    shares them, so score_columns sums the other columns once for the
+    pair.
     """
-    amp, signal, power = base
-    only_k = (assoc[k] & ~assoc[k2]).nonzero()[0]
-    only_k2 = (assoc[k2] & ~assoc[k]).nonzero()[0]
-    shape = (only_k.size, only_k2.size, len(amp))
+    alone, amp_t, signal, power = base
+    only_k, only_k2 = alone[k, k2].nonzero()[0], alone[k2, k].nonzero()[0]
+    shape = (only_k.size, only_k2.size, len(amp_t))
     if not (only_k.size and only_k2.size):
         return only_k, only_k2, np.empty(shape)
-    pair, aps = np.array([k, k2]), np.concatenate([only_k, only_k2])[:, None]
+    pair, aps = [k, k2], np.concatenate([only_k, only_k2])[:, None]
     # moved[i, 0] is AP aps[i]'s term of amplitude column k, moved[i, 1] minus
     # its term of column k2; give is taken out before take is added, so an AP
-    # that is most of its column cancels first
-    moved = ctx.columns(aps, pair) * (weight[pair, aps] * np.array([1.0, -1.0]))[..., None]
-    new = (amp.T[pair] - moved[:only_k.size, None]) + moved[only_k.size:]
-    kappa = ctx.score_columns(signal, power, pair, new.reshape(-1, 2, len(amp)), demands)[2]
+    # that is most of its column cancels first.  The slice is rows k and k2.
+    moved = ctx.columns(aps, pair) * (weight[pair, aps] * _GIVE_TAKE)[..., None]
+    new = (amp_t[k:k2 + 1:k2 - k] - moved[:only_k.size, None]) + moved[only_k.size:]
+    kappa = ctx.score_columns(signal, power, pair, new.reshape(-1, 2, len(amp_t)), demands)[2]
     return only_k, only_k2, kappa.reshape(shape)
 
 
-def _accepts(kappa, current, k, k2, slack=0.0):
+# the sign of a traded AP's term in the amplitude columns of k and k2
+_GIVE_TAKE = np.array([1.0, -1.0])
+
+
+def _thresholds(current, slack=0.0):
+    """What _accepts compares a trade's kappa with, from the current
+    kappa: each UE's kappa less slack, the kappa sum less slack per UE,
+    and which UEs sit below kappa 1, as Python scalars, which each pair
+    reads cheaply.  slack relaxes every comparison by that much per
+    kappa, keeping each trade the exact rule (slack 0) might take on
+    kappa within slack of these."""
+    return ((current - slack).tolist(), float(current.sum() - current.size * slack),
+            (current < 1.0).tolist())
+
+
+def _accepts(kappa, thresholds, k, k2):
     """The swap rule on the kappa of one trade or of each row of a (T, K)
-    batch: the kappa sum does not drop, and one of k, k2 strictly
-    improves while the other does not lose.  slack relaxes every
-    comparison by that much per kappa, keeping each trade the exact rule
-    might take on kappa within slack of these; a UE at kappa 1 cannot
-    strictly improve, since the clamp is exact."""
-    low = current - slack
-    sum_ok = kappa.sum(axis=-1) >= current.sum() - current.size * slack
-    up_k = (current[k] < 1.0) & (kappa[..., k] > low[k])
-    up_k2 = (current[k2] < 1.0) & (kappa[..., k2] > low[k2])
-    return sum_ok & ((up_k & (kappa[..., k2] >= low[k2]))
-                     | (up_k2 & (kappa[..., k] >= low[k])))
+    batch, against _thresholds of the current kappa: the kappa sum does
+    not drop, and one of k, k2 strictly improves while the other does not
+    lose.  A UE at kappa 1 cannot strictly improve, since the clamp is
+    exact."""
+    low, floor, below = thresholds
+    at_k, at_k2 = kappa[..., k], kappa[..., k2]
+    up = False
+    if below[k]:
+        up = (at_k > low[k]) & (at_k2 >= low[k2])
+    if below[k2]:
+        up = up | ((at_k2 > low[k2]) & (at_k >= low[k]))
+    return (kappa.sum(axis=-1) >= floor) & up
 
 
 def _da_smp(ctx, demands, config):

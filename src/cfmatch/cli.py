@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace, fields
 
+import numpy as np
+
 from .channel import ScenarioConfig
 from .baselines import STRATEGIES, SwapCapExceeded, get_strategy
 # run_episode is not called here, but perfbench/tracing.py wraps it in
@@ -155,15 +157,19 @@ def cmd_run(spec: RunSpec) -> int:
     """Run all (seed, threshold) combinations and write result files.
 
     Each seed's episode is walked once for all thresholds (run_sweep);
-    the files equal those of one run_episode per threshold.
+    the files equal those of one run_episode per threshold.  An overflow
+    or invalid operation in a sweep raises FloatingPointError rather than
+    write non-finite records; underflow stays silent, since vanishing
+    gains are normal.  On any error the run's files are removed.
     """
     config = load_config(spec.config_path)
     os.makedirs(spec.out_dir, exist_ok=True)
     written: list[str] = []
     try:
         for seed in spec.seeds:
-            per_threshold = run_sweep(replace(config, seed=seed), spec.strategies,
-                                      spec.kappa0_values)
+            with np.errstate(over="raise", invalid="raise"):
+                per_threshold = run_sweep(replace(config, seed=seed), spec.strategies,
+                                          spec.kappa0_values)
             for kappa0, records in zip(spec.kappa0_values, per_threshold):
                 summary = summarize(records)
                 tag = f"seed{seed}_kappa{_kappa_tag(kappa0)}"
@@ -243,6 +249,10 @@ def main(argv=None) -> int:
         return cmd_run(spec)
     except (ValueError, OSError, SwapCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: {exc}: the config is outside the range the model computes finitely",
+              file=sys.stderr)
         return 2
 
 

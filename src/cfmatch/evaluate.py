@@ -109,7 +109,7 @@ class EvalContext:
         if self._rows <= self.num_aps * self.num_ues and not (at >= 0).all():
             self._fill(np.unique(np.ravel(np.multiply(aps, self.num_ues) + ues)[np.ravel(at) < 0]))
             at = self._row[aps, ues]
-        return np.take(self._store, at, axis=0, out=out, mode="clip")
+        return self._store.take(at, axis=0, out=out, mode="clip")
 
     def _fill(self, pairs):
         """Compute new columns m K + j, ascending, AP by AP: the AP's block
@@ -199,16 +199,23 @@ class EvalContext:
         each row distinct UEs.  signal, power: split_power of the current
         amplitudes.  Each candidate's kept columns are summed directly, one
         product for all of them, never as the current row sum less the old
-        columns, which cancels where a moved beam was most of it.
+        columns, which cancels where a moved beam was most of it.  Shared
+        cols are read by plain column indexing, and their kept columns are
+        one (K,) mask, so all candidates pay one K^2 sum together.
         """
-        cols = np.reshape(cols, (-1, new.shape[1]))  # (T, c) or (1, c)
-        t, i = np.arange(len(new))[:, None], np.arange(new.shape[1])
         new_power = np.abs(new) ** 2
-        trial = np.repeat(signal[None], len(new), axis=0)
+        trial = signal[None].repeat(len(new), axis=0)
+        if np.ndim(cols) == 1:
+            kept = np.ones(len(signal))
+            for i, j in enumerate(cols):
+                trial[:, j] = new_power[:, i, j]
+                new_power[:, i, j] = kept[j] = 0.0
+            return self.score_powers(trial, new_power.sum(axis=1) + np.dot(power, kept), demands)
+        t, i = np.arange(len(new))[:, None], np.arange(new.shape[1])
         trial[t, cols] = new_power[t, i, cols]
         new_power[t, i, cols] = 0.0
         kept = np.ones((len(cols), len(signal)))
-        kept[np.arange(len(cols))[:, None], cols] = 0.0
+        kept[t, cols] = 0.0
         return self.score_powers(trial, new_power.sum(axis=1) + kept @ power.T, demands)
 
     def score_powers(self, signal: np.ndarray, interference: np.ndarray, demands: np.ndarray):

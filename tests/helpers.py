@@ -7,7 +7,7 @@ import numpy as np
 from cfmatch import (ChannelRealization, ScenarioConfig, EvalContext,
                      generate_layout, realize_channels, draw_demands, substream)
 from cfmatch import matching as matching_module
-from cfmatch.baselines import _pair_trades
+from cfmatch.baselines import _pair_trades, _scan_base
 from cfmatch.evaluate import quota_violation
 
 from bruteforce import reference_associate, reference_preferences
@@ -97,9 +97,8 @@ def pair_trades(ctx, assoc, demands, k, k2):
     """_pair_trades of UEs k, k2 at the start of a scan of assoc, one row
     per trade in scan order: (gives, takes, kappa), kappa of shape (T, K)."""
     weight = ctx.beam_weights(assoc.sum(axis=0))
-    amp = ctx.amplitudes(assoc * weight)
-    only_k, only_k2, kappa = _pair_trades(ctx, assoc, weight, (amp, *ctx.split_power(amp)),
-                                          demands, k, k2)
+    base = _scan_base(ctx, assoc, weight)
+    only_k, only_k2, kappa = _pair_trades(ctx, weight, base, demands, k, k2)
     gives, takes = (x.ravel() for x in np.meshgrid(only_k, only_k2, indexing="ij"))
     return gives, takes, kappa.reshape(-1, ctx.num_ues)
 

@@ -8,7 +8,7 @@ from cfmatch import (ScenarioConfig, best_channel, min_distance,
                      canonical, gca, da_m2m, STRATEGIES,
                      get_strategy, GameCounters, ChannelRealization, EvalContext)
 from cfmatch import baselines
-from cfmatch.baselines import SCREEN_MARGIN, _accepts, swap_matching
+from cfmatch.baselines import SCREEN_MARGIN, _accepts, _thresholds, swap_matching
 
 from bruteforce import reference_da_m2m, reference_gca, reference_swap_matching
 from make_golden import tie_scene
@@ -367,17 +367,18 @@ def test_accepts_batch_matches_rows_and_screen_keeps_them():
             near[:, k2] += np.tile(steps, steps.size)
             batch = np.concatenate([pair_trades(ctx, start, demands, k, k2)[2],
                                     np.minimum(1.0, near)])
-            exact = _accepts(batch, current, k, k2)
+            exact = _accepts(batch, _thresholds(current), k, k2)
             np.testing.assert_array_equal(
-                exact, [_accepts(row, current, k, k2) for row in batch])
-            screen = _accepts(batch, current, k, k2, SCREEN_MARGIN)
+                exact, [_accepts(row, _thresholds(current), k, k2) for row in batch])
+            screen = _accepts(batch, _thresholds(current, SCREEN_MARGIN), k, k2)
             assert not np.any(exact & ~screen)
             taken += int(np.count_nonzero(exact))
             screened += int(np.count_nonzero(screen))
     assert 0 < taken < screened
     # an exact tie of the sum is no drop: k gains what a third UE loses
     current, trade = np.array([0.5, 0.5, 0.5]), np.array([0.75, 0.5, 0.25])
-    assert _accepts(trade, current, 0, 1) and _accepts(trade[None], current, 0, 1).all()
+    rule = _thresholds(current)
+    assert _accepts(trade, rule, 0, 1) and _accepts(trade[None], rule, 0, 1).all()
 
 
 def test_swap_keeps_no_second_copy_of_the_columns():
@@ -397,13 +398,9 @@ def test_swap_keeps_no_second_copy_of_the_columns():
     assert peak < 16 * ctx.num_ues ** 2 * ctx.num_aps
 
 
-def test_swap_of_saturated_ues_evaluates_once(monkeypatch):
-    # with every UE at kappa 1 no trade can strictly improve anyone, so
-    # the screen drops them all and only the starting matching is scored
-    cfg, ctx, _, start = _da_scene(10, 25, seed=11)
-    demands = np.full(10, 1.0)
-    assert np.all(ctx.evaluate_assoc(start, demands).kappa == 1.0)
-    assert pair_trades(ctx, start, demands, 0, 1)[0].size > 0
+def _count_evaluations(monkeypatch):
+    """The list every EvalContext.evaluate_assoc call appends its
+    arguments to from now on."""
     calls = []
     original = EvalContext.evaluate_assoc
 
@@ -412,11 +409,41 @@ def test_swap_of_saturated_ues_evaluates_once(monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(EvalContext, "evaluate_assoc", counted)
+    return calls
+
+
+def test_swap_of_saturated_ues_evaluates_once(monkeypatch):
+    # with every UE at kappa 1 no trade can strictly improve anyone, so
+    # the screen drops them all and only the starting matching is scored
+    cfg, ctx, _, start = _da_scene(10, 25, seed=11)
+    demands = np.full(10, 1.0)
+    assert np.all(ctx.evaluate_assoc(start, demands).kappa == 1.0)
+    assert pair_trades(ctx, start, demands, 0, 1)[0].size > 0
+    calls = _count_evaluations(monkeypatch)
     counters = GameCounters()
     out = swap_matching(start, ctx, demands, cfg, counters)
     assert len(calls) == 1
     assert counters.swap_count == 0
     np.testing.assert_array_equal(out, start)
+
+
+@pytest.mark.parametrize("num_ues, num_aps, seed, evaluations, swaps", [
+    (10, 25, 700, 1, 0),
+    (10, 25, 701, 1, 0),
+    (10, 25, 702, 2, 1),
+    (10, 25, 703, 1, 0),
+    (24, 120, 0, 18, 17),
+])
+def test_swap_exact_confirms_are_pinned(monkeypatch, num_ues, num_aps, seed, evaluations, swaps):
+    # evaluate_assoc calls per swap_matching: the starting matching, then
+    # one per trade the screen passes.  The counts are those of the screen
+    # at SCREEN_MARGIN; a looser screen confirms more trades, a tighter one
+    # misses swaps (the 24x120 scene is the golden corpus's da-smp scene)
+    cfg, ctx, demands, start = _da_scene(num_ues, num_aps, seed)
+    calls = _count_evaluations(monkeypatch)
+    counters = GameCounters()
+    swap_matching(start, ctx, demands, cfg, counters)
+    assert (len(calls), counters.swap_count) == (evaluations, swaps)
 
 
 def _gca_seed(ctx, config):

@@ -408,6 +408,25 @@ def test_main_reports_swap_cap_error(tmp_path, capsys, monkeypatch):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("field, value, operation", [
+    ("shadow_var", 1e6, "exp"),
+    ("bandwidth", 1e308, "multiply"),
+    ("max_power", 1e308, "square"),
+])
+def test_main_exits_2_on_non_finite_arithmetic(tmp_path, capsys, field, value, operation):
+    # each value is accepted by the config but overflows in the sweep; it
+    # used to exit 0 after writing non-finite record rows
+    payload = {"num_ues": 8, "num_aps": 16, "num_steps": 2, field: value}
+    config_path = _write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    rc = main(["--config", config_path, "--strategies", "ea,da,bc,md,cs", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: overflow encountered in {operation}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(out) == []
+
+
 def test_main_runs_gca_with_a_window_past_the_float_range(tmp_path, capsys):
     # 10 ** (3083 / 10) overflows a float; the window acts as +inf
     payload = dict(TINY)

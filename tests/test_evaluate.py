@@ -17,7 +17,8 @@ from cfmatch.matching import _GrowingScores, build_preferences, ea_initial_assoc
 from bruteforce import reference_evaluate
 from helpers import (small_config, random_channels, channels_from_vectors, seeded_scene,
                      beam_weights, power_shares, all_columns, cross_einsum, assert_amplitudes,
-                     assert_dense_close, dominant_interferer_scene, trade_kappa_error)
+                     assert_dense_close, dominant_interferer_scene, pair_trades,
+                     trade_kappa_error)
 from make_golden import tie_scene
 
 
@@ -479,6 +480,18 @@ def _drop_errors(monkeypatch, cfg, ctx, demands):
     return errors
 
 
+def _trade_start(cfg, ctx, demands, given):
+    """(assoc, demands, pairs) of a scene's trades: from da's matching (the
+    dominant scene's own), every pair at K <= 10 and UE 0's 23 first
+    otherwise."""
+    # default quotas at 5x8 let every UE hold every AP: nothing to trade
+    da_cfg = replace(cfg, **_SMALL_QUOTAS) if cfg.ue_quota >= cfg.num_aps else cfg
+    assoc = given[0] if given else da_m2m(ctx, demands, da_cfg)[0]
+    pairs = [(k, k2) for k in range(ctx.num_ues) for k2 in range(k + 1, ctx.num_ues)
+             if ctx.num_ues <= 10 or (k == 0 and k2 <= 23)]
+    return assoc, demands, pairs
+
+
 @pytest.mark.parametrize("kind", ["add", "trade", "drop"])
 @pytest.mark.parametrize("scene", list(_SCORER_SCENES))
 def test_shared_scorer_matches_exact_evaluation(monkeypatch, scene, kind):
@@ -494,18 +507,37 @@ def test_shared_scorer_matches_exact_evaluation(monkeypatch, scene, kind):
         if kind == "add":
             errors += _add_errors(cfg, ctx, demands)
         elif kind == "trade":
-            # default quotas at 5x8 let every UE hold every AP: nothing to trade
-            da_cfg = replace(cfg, **_SMALL_QUOTAS) if cfg.ue_quota >= cfg.num_aps else cfg
-            assoc = given[0] if given else da_m2m(ctx, demands, da_cfg)[0]
-            pairs = [(k, k2) for k in range(ctx.num_ues) for k2 in range(k + 1, ctx.num_ues)
-                     if ctx.num_ues <= 10 or (k == 0 and k2 <= 23)]
-            worst, trades = trade_kappa_error(ctx, assoc, demands, pairs)
+            worst, trades = trade_kappa_error(ctx, *_trade_start(cfg, ctx, demands, given))
             errors += [worst] * (trades > 0)
         else:
             errors += _drop_errors(monkeypatch, cfg, ctx, demands)
     assert errors
     # about 1000x headroom below the screen's margin
     assert max(errors) <= 1e-12
+
+
+@pytest.mark.parametrize("scene", ["10x25-swap", "dup-pairs", "dominant-interferer"])
+def test_shared_columns_score_as_repeated_rows(monkeypatch, scene):
+    # da-smp's trades share cols = (k, k2), which score_columns reads by
+    # plain column indexing with one (K,) kept mask; the same trades given
+    # as T repeated rows take the per-candidate (T, c) path of ea's adds
+    original, errors = EvalContext.score_columns, []
+
+    def both(self, signal, power, cols, new, demands):
+        shared = original(self, signal, power, cols, new, demands)
+        rows = original(self, signal, power, np.tile(cols, (len(new), 1)), new, demands)
+        # sinr, rate and kappa, each relative to the per-candidate path's
+        errors.extend((np.abs(a - b) / np.maximum(np.abs(b), 1e-300)).max()
+                      for a, b in zip(shared, rows))
+        return shared
+
+    monkeypatch.setattr(EvalContext, "score_columns", both)
+    for cfg, ctx, demands, *given in _SCORER_SCENES[scene]():
+        assoc, demands, pairs = _trade_start(cfg, ctx, demands, given)
+        for k, k2 in pairs:
+            pair_trades(ctx, assoc, demands, k, k2)
+    assert errors
+    assert max(errors) <= 1e-14
 
 
 def test_quota_violation_flag():
